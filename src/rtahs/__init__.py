@@ -26,11 +26,8 @@ from .cosim import (
     LossInjector,
     SessionError,
     SurrogateSession,
-    apply_delay,
-    numerical_server,
     run_in_process,
     run_udp_pair,
-    surrogate_physical,
 )
 from .dynamics import (
     ConfigurationError,
@@ -49,9 +46,7 @@ from .estimators import (
     NoiseStats,
     TransitionModel,
     aekf_step,
-    covariance_match,
     ekf_step,
-    kf_step,
     linear_transition_model,
     numeric_jacobian,
     predict,
@@ -61,7 +56,6 @@ from .harness import run_case, run_delay_study
 from .integrators import (
     IntegrationError,
     MechState,
-    SecondOrderSystem,
     TimeSeries,
     newmark_step,
     rk4_step,

@@ -22,6 +22,10 @@ AMPLITUDE_RATIO_FLOOR = 1e-3
 # a degenerate oscillator if a divergent run overshoots a = 5D.
 FREQUENCY_FLOOR_RATIO = 0.01
 
+# Damping law xi(s) = XI_INV / s + XI_CONST + XI_LIN * s in the normalized
+# amplitude s = 2a/D.
+XI_INV, XI_CONST, XI_LIN = 1.247e-4, 3.65e-3, 1.264e-2
+
 
 @dataclass(frozen=True)
 class AeroParams:
@@ -91,27 +95,82 @@ def instantaneous_amplitude(h: float, h_dot: float, omega0: float) -> float:
     return math.hypot(h, h_dot / omega0)
 
 
-def amplitude_dep_damping(a: float, D: float) -> float:
-    """Amplitude-dependent structural damping ratio.
+def heave_acceleration(inertia: float, omega0: float, D: float):
+    """Acceleration kernel ``acc(h, v, u)`` of the amplitude-dependent
+    heave oscillator under the force u: u/m - 2 xi om v - om^2 h.
 
-    xi(a) = 1.247e-4/(2a/D) + 3.65e-3 + 1.264e-2*(2a/D), with the
-    normalized amplitude clamped from below so the ratio stays finite at
-    rest.
+    This is the one home of the amplitude law, taken at the
+    instantaneous amplitude a = hypot(h, v/omega0): xi(a) = XI_INV/s +
+    XI_CONST + XI_LIN*s with s = 2a/D clamped from below at
+    AMPLITUDE_RATIO_FLOOR, and om(a) = omega0 * (1 - a/(5D)) clamped from
+    below at FREQUENCY_FLOOR_RATIO * omega0.  ``acc(h, v, u, law=True)``
+    returns (a, s, xi, om) instead of the acceleration.  Unchecked: the
+    truth, the oracle and the filter run it at every RK4 stage.
     """
+    s_floor = AMPLITUDE_RATIO_FLOOR
+    om_floor = FREQUENCY_FLOOR_RATIO * omega0
+    five_D = 5.0 * D
+    hypot = math.hypot
+
+    def acc(h: float, v: float, u: float, law: bool = False):
+        a = hypot(h, v / omega0)
+        s = 2.0 * a / D
+        if s < s_floor:
+            s = s_floor
+        om = omega0 * (1.0 - a / five_D)
+        if om < om_floor:
+            om = om_floor
+        xi = XI_INV / s + XI_CONST + XI_LIN * s
+        if law:
+            return a, s, xi, om
+        return u / inertia - 2.0 * xi * om * v - om * om * h
+
+    return acc
+
+
+def amplitude_dep_damping(a: float, D: float) -> float:
+    """Amplitude-dependent structural damping ratio xi(a) of
+    :func:`heave_acceleration` (taken at displacement a, velocity zero),
+    finite at zero amplitude."""
     if a < 0:
         raise ValueError(f"amplitude must be >= 0, got {a}")
     if not D > 0:
         raise ValueError(f"D must be positive, got {D}")
-    s = max(2.0 * a / D, AMPLITUDE_RATIO_FLOOR)
-    return 1.247e-4 / s + 3.65e-3 + 1.264e-2 * s
+    return heave_acceleration(1.0, 1.0, D)(a, 0.0, 0.0, law=True)[2]
 
 
 def amplitude_dep_frequency(a: float, D: float, omega0: float) -> float:
-    """Amplitude-softened circular frequency omega0 * (1 - a/(5D)),
-    clamped at FREQUENCY_FLOOR_RATIO * omega0."""
+    """Amplitude-softened circular frequency om(a) of
+    :func:`heave_acceleration`, clamped at FREQUENCY_FLOOR_RATIO * omega0."""
     if a < 0:
         raise ValueError(f"amplitude must be >= 0, got {a}")
-    return max(omega0 * (1.0 - a / (5.0 * D)), FREQUENCY_FLOOR_RATIO * omega0)
+    return heave_acceleration(1.0, omega0, D)(a, 0.0, 0.0, law=True)[3]
+
+
+def heave_jacobian(omega0: float, D: float):
+    """Continuous Jacobian of :func:`heave_acceleration` as a kernel
+    ``jac(h, v)`` returning its second row (d acc/dh, d acc/dv); the
+    first row is [0, 1].  The law's slopes are zero inside its clamps."""
+    acc = heave_acceleration(1.0, omega0, D)
+    om_floor = FREQUENCY_FLOOR_RATIO * omega0
+
+    def jac(h: float, v: float) -> tuple[float, float]:
+        a, s, xi, om = acc(h, v, 0.0, law=True)
+        if s == AMPLITUDE_RATIO_FLOOR:
+            dxi_da = 0.0
+        else:
+            dxi_da = (-XI_INV / (s * s) + XI_LIN) * (2.0 / D)
+        dom_da = 0.0 if om == om_floor else -omega0 / (5.0 * D)
+        if a > 0.0:
+            da_dh = h / a
+            da_dv = v / (omega0 * omega0 * a)
+        else:
+            da_dh = da_dv = 0.0
+        # d/da of (2 xi om v + om^2 h)
+        g = 2.0 * (dxi_da * om + xi * dom_da) * v + 2.0 * om * dom_da * h
+        return -g * da_dh - om * om, -g * da_dv - 2.0 * xi * om
+
+    return jac
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Validation-case definitions: configuration objects, truth generators
-for the surrogate physical substructure, transition models for the
-estimators, and the matching oracle systems.
+"""Validation-case definitions: configuration objects, the one stepper
+per case that both the oracle and the surrogate truth run, and the
+transition models for the estimators.
 
 Three cases are shipped:
 
@@ -29,15 +29,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .aero import (
-    AMPLITUDE_RATIO_FLOOR,
-    FREQUENCY_FLOOR_RATIO,
     AeroParams,
     CoupledSeMatrices,
-    amplitude_dep_damping,
-    amplitude_dep_frequency,
     coupled_se_force,
+    heave_acceleration,
+    heave_jacobian,
     linear_se_force,
-    nonlinear_vortex_force,
 )
 from .dynamics import (
     DofId,
@@ -52,8 +49,9 @@ from .estimators import (
     NoiseStats,
     TransitionModel,
     linear_transition_model,
+    numeric_jacobian,
 )
-from .integrators import NewmarkSolver, SecondOrderSystem, rk4_scalar_2nd, rk4_step
+from .integrators import NewmarkStepper, Rk4Stepper, ScalarRk4Stepper, Stepper
 
 CASE_IDS = ("case1-linear", "case1-nonlinear", "case2dof")
 
@@ -189,29 +187,19 @@ def _case2dof_modal() -> tuple[ModalParams, ...]:
 def default_config(case: str, estimator: Optional[str] = None, **overrides) -> CaseConfig:
     """Resolved configuration for one of the shipped cases; keyword
     overrides replace individual fields."""
-    if case == "case1-linear":
+    if case in ("case1-linear", "case1-nonlinear"):
+        linear = case == "case1-linear"
+        var = 1e-5 if linear else 1e-8
         cfg = CaseConfig(
             case=case,
-            estimator=estimator or "kf",
+            estimator=estimator or ("kf" if linear else "ekf"),
             modal=_case1_modal(),
             aero=_case1_aero(),
             t_end=50.0,
             span=1.8,
             x0_disp=(0.01,),
             x0_vel=(0.0,),
-            filter=FilterSettings(p0=1e-10, process_var=1e-5, meas_var=1e-5),
-        )
-    elif case == "case1-nonlinear":
-        cfg = CaseConfig(
-            case=case,
-            estimator=estimator or "ekf",
-            modal=_case1_modal(),
-            aero=_case1_aero(),
-            t_end=50.0,
-            span=1.8,
-            x0_disp=(0.01,),
-            x0_vel=(0.0,),
-            filter=FilterSettings(p0=1e-10, process_var=1e-8, meas_var=1e-8),
+            filter=FilterSettings(p0=1e-10, process_var=var, meas_var=var),
         )
     elif case == "case2dof":
         cfg = CaseConfig(
@@ -228,9 +216,7 @@ def default_config(case: str, estimator: Optional[str] = None, **overrides) -> C
         )
     else:
         raise ValueError(f"unknown case {case!r}")
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def with_aero(cfg: CaseConfig, **aero_overrides) -> CaseConfig:
@@ -238,105 +224,9 @@ def with_aero(cfg: CaseConfig, **aero_overrides) -> CaseConfig:
 
 
 # ---------------------------------------------------------------------------
-# Truth generators (the surrogate's internal response machinery)
+# Command-driven and inert surrogate generators (the integrated truth is
+# the case's stepper)
 # ---------------------------------------------------------------------------
-
-
-class NewmarkTruth:
-    """Linear truth integrator: state-proportional aero force folded into
-    effective damping/stiffness so the implicit step is exact."""
-
-    def __init__(
-        self,
-        mats_eff: StructuralMatrices,
-        force_eval: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-        dt: float,
-        x0: np.ndarray,
-        v0: np.ndarray,
-    ):
-        self.solver = NewmarkSolver(mats_eff, dt)
-        self.force_eval = force_eval
-        self.dt = dt
-        self.x = np.asarray(x0, float).copy()
-        self.v = np.asarray(v0, float).copy()
-        self._zero = np.zeros(len(self.x))
-        self.acc = self.solver.initial_acceleration(self.x, self.v, self._zero)
-        self.t = 0.0
-        self.last_command: Optional[np.ndarray] = None
-
-    def outputs(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.force_eval(self.t, self.x, self.v), self.x.copy()
-
-    def receive_command(self, disp: np.ndarray) -> None:
-        self.last_command = disp
-
-    def advance(self) -> None:
-        self.x, self.v, self.acc = self.solver.step_arrays(self.x, self.v, self.acc, self._zero)
-        self.t += self.dt
-
-
-class ScalarRk4Truth:
-    """Single-DOF truth integrator over float closures (same stepping
-    kernel as the oracle's scalar RK4 path)."""
-
-    def __init__(self, acc_s, force_s, dt: float, x0: np.ndarray, v0: np.ndarray):
-        self.acc_s = acc_s
-        self.force_s = force_s
-        self.dt = dt
-        self.h = float(x0[0])
-        self.v = float(v0[0])
-        self.t = 0.0
-        self.last_command: Optional[np.ndarray] = None
-
-    def outputs(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array([self.force_s(self.t, self.h, self.v)]),
-            np.array([self.h]),
-        )
-
-    def receive_command(self, disp: np.ndarray) -> None:
-        self.last_command = disp
-
-    def advance(self) -> None:
-        self.h, self.v = rk4_scalar_2nd(self.acc_s, self.h, self.v, self.t, self.dt)
-        self.t += self.dt
-
-
-class Rk4Truth:
-    """General truth integrator for nonlinear or coupled dynamics."""
-
-    def __init__(
-        self,
-        acc_fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-        force_eval: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-        dt: float,
-        x0: np.ndarray,
-        v0: np.ndarray,
-    ):
-        self.acc_fn = acc_fn
-        self.force_eval = force_eval
-        self.dt = dt
-        self.n = len(x0)
-        self.y = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
-        self.t = 0.0
-        self.last_command: Optional[np.ndarray] = None
-
-    def _deriv(self, t: float, y: np.ndarray) -> np.ndarray:
-        out = np.empty(2 * self.n)
-        out[: self.n] = y[self.n :]
-        out[self.n :] = self.acc_fn(t, y[: self.n], y[self.n :])
-        return out
-
-    def outputs(self) -> tuple[np.ndarray, np.ndarray]:
-        x, v = self.y[: self.n], self.y[self.n :]
-        return self.force_eval(self.t, x, v), x.copy()
-
-    def receive_command(self, disp: np.ndarray) -> None:
-        self.last_command = disp
-
-    def advance(self) -> None:
-        self.y = rk4_step(self._deriv, self.y, self.t, self.dt)
-        self.t += self.dt
 
 
 class EchoGenerator:
@@ -377,20 +267,19 @@ class StaticGenerator:
         self.n = n_dofs
         self.dt = dt
         self.t = 0.0
-        self.last_command = None
 
     def outputs(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(self.n), np.zeros(self.n)
 
     def receive_command(self, disp: np.ndarray) -> None:
-        self.last_command = disp
+        pass
 
     def advance(self) -> None:
         self.t += self.dt
 
 
 # ---------------------------------------------------------------------------
-# Case wiring: force closures, oracle systems, generators, filter models
+# Case wiring: force closures, the case stepper, generators, filter models
 # ---------------------------------------------------------------------------
 
 
@@ -418,27 +307,17 @@ def _case1_linear_folded(cfg: CaseConfig) -> StructuralMatrices:
     )
 
 
-def _case1_nonlinear_force(cfg: CaseConfig):
-    aero, span = cfg.aero, cfg.span
-
-    def force(t, x, v):
-        return np.array([span * nonlinear_vortex_force(x[0], v[0], t, aero)])
-
-    return force
-
-
 def _case1_nonlinear_scalar(cfg: CaseConfig):
     """Float closures (acc, force) for the amplitude-dependent heave
-    system; shared by the oracle driver and the surrogate truth."""
+    system driven by the saturating vortex force."""
     p = cfg.modal[0]
     aero, span = cfg.aero, cfg.span
-    m, omega0, D = p.inertia, p.circ_freq, aero.D
+    D = aero.D
     q2d = aero.dyn_pressure_2d
     Y1, Y2, eps, U = aero.Y1, aero.Y2, aero.eps, aero.U
     cl_half = 0.5 * aero.CL_tilde
     omega_vs, psi = aero.omega_vs, aero.psi
-    s_floor = AMPLITUDE_RATIO_FLOOR
-    om_floor = FREQUENCY_FLOOR_RATIO * omega0
+    acc_u = heave_acceleration(p.inertia, p.circ_freq, D)
 
     def force_s(t: float, h: float, v: float) -> float:
         return span * q2d * (
@@ -448,26 +327,9 @@ def _case1_nonlinear_scalar(cfg: CaseConfig):
         )
 
     def acc_s(t: float, h: float, v: float) -> float:
-        a = math.hypot(h, v / omega0)
-        s = 2.0 * a / D
-        if s < s_floor:
-            s = s_floor
-        xi = 1.247e-4 / s + 3.65e-3 + 1.264e-2 * s
-        om = omega0 * (1.0 - a / (5.0 * D))
-        if om < om_floor:
-            om = om_floor
-        return force_s(t, h, v) / m - 2.0 * xi * om * v - om * om * h
+        return acc_u(h, v, force_s(t, h, v))
 
     return acc_s, force_s
-
-
-def _case1_nonlinear_acc(cfg: CaseConfig):
-    acc_s, _ = _case1_nonlinear_scalar(cfg)
-
-    def acc(t, x, v):
-        return np.array([acc_s(t, x[0], v[0])])
-
-    return acc
 
 
 def _case2dof_force(cfg: CaseConfig):
@@ -494,73 +356,35 @@ def _case2dof_acc(cfg: CaseConfig):
     return acc
 
 
-def oracle_system(cfg: CaseConfig) -> SecondOrderSystem:
-    """Reference integrator setup for a case (Newmark for the linear
-    case, RK4 otherwise), sharing its force/acceleration closures with
-    the surrogate generator so both trace identical trajectories."""
-    labels = tuple(d.label for d in cfg.dofs)
-    limit = np.full(cfg.n_dofs, DISPLACEMENT_LIMIT_HEIGHTS * cfg.aero.D)
+def case_stepper(cfg: CaseConfig) -> Stepper:
+    """The one integrator of a case's dynamics at its initial state:
+    Newmark on the folded matrices for the linear case, scalar RK4 for
+    the nonlinear one, vector RK4 for the coupled one.  The oracle
+    samples it and the surrogate truth steps it, so the two trace one
+    trajectory."""
+    x0 = np.asarray(cfg.x0_disp, float)
+    v0 = np.asarray(cfg.x0_vel, float)
     if cfg.case == "case1-linear":
-        mats_eff = _case1_linear_folded(cfg)
-        force = _case1_linear_force(cfg)
-
-        def acc(t, x, v, _m=mats_eff):
-            return np.linalg.solve(_m.M, -_m.C @ v - _m.K @ x)
-
-        return SecondOrderSystem(
-            n_dofs=1,
-            dof_labels=labels,
-            acc=acc,
-            force=force,
-            method="newmark",
-            newmark_mats=mats_eff,
-            displacement_limit=limit,
-        )
+        return NewmarkStepper(_case1_linear_folded(cfg), _case1_linear_force(cfg), cfg.dt, x0, v0)
     if cfg.case == "case1-nonlinear":
         acc_s, force_s = _case1_nonlinear_scalar(cfg)
-        return SecondOrderSystem(
-            n_dofs=1,
-            dof_labels=labels,
-            acc=_case1_nonlinear_acc(cfg),
-            force=_case1_nonlinear_force(cfg),
-            method="rk4",
-            displacement_limit=limit,
-            acc_scalar=acc_s,
-            force_scalar=force_s,
-        )
+        return ScalarRk4Stepper(acc_s, force_s, cfg.dt, x0, v0)
     if cfg.case == "case2dof":
         if cfg.coupling is None:
             raise ValueError("case2dof requires coupling matrices")
-        return SecondOrderSystem(
-            n_dofs=2,
-            dof_labels=labels,
-            acc=_case2dof_acc(cfg),
-            force=_case2dof_force(cfg),
-            method="rk4",
-            displacement_limit=limit,
-        )
+        return Rk4Stepper(_case2dof_acc(cfg), _case2dof_force(cfg), cfg.dt, x0, v0)
     raise ValueError(f"unknown case {cfg.case!r}")
 
 
 def truth_generator(cfg: CaseConfig):
-    """Fresh surrogate truth generator matching the oracle dynamics."""
-    x0 = np.asarray(cfg.x0_disp, float)
-    v0 = np.asarray(cfg.x0_vel, float)
+    """Fresh surrogate generator: the case stepper itself, or the echo
+    generator on the stepper's force law."""
+    stepper = case_stepper(cfg)
     if cfg.surrogate.kind == "echo":
-        sysd = oracle_system(cfg)
-        return EchoGenerator(sysd.force, cfg.dt, cfg.n_dofs, x0=x0)
+        return EchoGenerator(stepper.force_at, cfg.dt, cfg.n_dofs, x0=cfg.x0_disp)
     if cfg.surrogate.kind != "integrator":
         raise ValueError(f"unknown surrogate kind {cfg.surrogate.kind!r}")
-    if cfg.case == "case1-linear":
-        return NewmarkTruth(
-            _case1_linear_folded(cfg), _case1_linear_force(cfg), cfg.dt, x0, v0
-        )
-    if cfg.case == "case1-nonlinear":
-        acc_s, force_s = _case1_nonlinear_scalar(cfg)
-        return ScalarRk4Truth(acc_s, force_s, cfg.dt, x0, v0)
-    if cfg.case == "case2dof":
-        return Rk4Truth(_case2dof_acc(cfg), _case2dof_force(cfg), cfg.dt, x0, v0)
-    raise ValueError(f"unknown case {cfg.case!r}")
+    return stepper
 
 
 # ---------------------------------------------------------------------------
@@ -572,53 +396,7 @@ def nonlinear_heave_deriv(x: np.ndarray, u: float, inertia: float, omega0: float
     """Continuous amplitude-dependent heave dynamics driven by a
     measured force (scalar state derivative pair)."""
     h, v = float(x[0]), float(x[1])
-    a = math.hypot(h, v / omega0)
-    xi = amplitude_dep_damping(a, D)
-    om = amplitude_dep_frequency(a, D, omega0)
-    return np.array([v, u / inertia - 2.0 * xi * om * v - om * om * h])
-
-
-def nonlinear_heave_jacobian(x: np.ndarray, inertia: float, omega0: float, D: float) -> np.ndarray:
-    """Analytic Jacobian of :func:`nonlinear_heave_deriv` with respect to
-    the state, clamp regions included (derivative zero inside a clamp)."""
-    h, v = float(x[0]), float(x[1])
-    a = math.hypot(h, v / omega0)
-    s = 2.0 * a / D
-    xi = amplitude_dep_damping(a, D)
-    om = amplitude_dep_frequency(a, D, omega0)
-    if a > 0.0:
-        da_dh = h / a
-        da_dv = v / (omega0 * omega0 * a)
-    else:
-        da_dh = da_dv = 0.0
-    if s <= AMPLITUDE_RATIO_FLOOR:
-        dxi_da = 0.0
-    else:
-        dxi_da = (-1.247e-4 / (s * s) + 1.264e-2) * (2.0 / D)
-    if om <= FREQUENCY_FLOOR_RATIO * omega0:
-        dom_da = 0.0
-    else:
-        dom_da = -omega0 / (5.0 * D)
-    # d/da of (2 xi om v + om^2 h)
-    g = 2.0 * (dxi_da * om + xi * dom_da) * v + 2.0 * om * dom_da * h
-    return np.array(
-        [
-            [0.0, 1.0],
-            [-g * da_dh - om * om, -g * da_dv - 2.0 * xi * om],
-        ]
-    )
-
-
-_EYE2 = np.eye(2)
-
-
-def _series_expm(J: np.ndarray, dt: float) -> np.ndarray:
-    """Fourth-order truncated exponential of J*dt (adequate for the
-    per-step transition Jacobian at |J|*dt << 1)."""
-    M = J * dt
-    M2 = M @ M
-    I = _EYE2 if J.shape[0] == 2 else np.eye(J.shape[0])
-    return I + M + M2 / 2.0 + (M2 @ M) / 6.0 + (M2 @ M2) / 24.0
+    return np.array([v, heave_acceleration(inertia, omega0, D)(h, v, u)])
 
 
 def nonlinear_heave_model(
@@ -633,65 +411,32 @@ def nonlinear_heave_model(
     RK4 sub-stepped propagation under a held force input, observation of
     the displacement."""
     h_sub = dt / substeps
-    om_floor = FREQUENCY_FLOOR_RATIO * omega0
-
-    def _acc(x1: float, x2: float, u: float) -> float:
-        a = math.hypot(x1, x2 / omega0)
-        s = 2.0 * a / D
-        if s < AMPLITUDE_RATIO_FLOOR:
-            s = AMPLITUDE_RATIO_FLOOR
-        xi = 1.247e-4 / s + 3.65e-3 + 1.264e-2 * s
-        om = omega0 * (1.0 - a / (5.0 * D))
-        if om < om_floor:
-            om = om_floor
-        return u / inertia - 2.0 * xi * om * x2 - om * om * x1
+    half, sixth = 0.5 * h_sub, h_sub / 6.0
+    _acc = heave_acceleration(inertia, omega0, D)
 
     def propagate(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         x1, x2 = float(x[0]), float(x[1])
         uu = float(u[0])
         for _ in range(substeps):
             k1v = _acc(x1, x2, uu)
-            k2h = x2 + 0.5 * h_sub * k1v
-            k2v = _acc(x1 + 0.5 * h_sub * x2, k2h, uu)
-            k3h = x2 + 0.5 * h_sub * k2v
-            k3v = _acc(x1 + 0.5 * h_sub * k2h, k3h, uu)
+            k2h = x2 + half * k1v
+            k2v = _acc(x1 + half * x2, k2h, uu)
+            k3h = x2 + half * k2v
+            k3v = _acc(x1 + half * k2h, k3h, uu)
             k4h = x2 + h_sub * k3v
             k4v = _acc(x1 + h_sub * k3h, k4h, uu)
-            x1 += h_sub / 6.0 * (x2 + 2.0 * k2h + 2.0 * k3h + k4h)
-            x2 += h_sub / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            x1 += sixth * (x2 + 2.0 * k2h + 2.0 * k3h + k4h)
+            x2 += sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         return np.array([x1, x2])
 
     H = np.array([[1.0, 0.0]])
 
     if jacobian == "analytic":
-        om_floor = FREQUENCY_FLOOR_RATIO * omega0
+
+        jac = heave_jacobian(omega0, D)
 
         def jac_transition(x, u):
-            # Fused float evaluation of the continuous Jacobian
-            # [[0, 1], [j21, j22]] and its truncated exponential.
-            h, v = float(x[0]), float(x[1])
-            a = math.hypot(h, v / omega0)
-            s = 2.0 * a / D
-            if s <= AMPLITUDE_RATIO_FLOOR:
-                s = AMPLITUDE_RATIO_FLOOR
-                dxi_da = 0.0
-            else:
-                dxi_da = (-1.247e-4 / (s * s) + 1.264e-2) * (2.0 / D)
-            xi = 1.247e-4 / s + 3.65e-3 + 1.264e-2 * s
-            om = omega0 * (1.0 - a / (5.0 * D))
-            if om <= om_floor:
-                om = om_floor
-                dom_da = 0.0
-            else:
-                dom_da = -omega0 / (5.0 * D)
-            if a > 0.0:
-                da_dh = h / a
-                da_dv = v / (omega0 * omega0 * a)
-            else:
-                da_dh = da_dv = 0.0
-            g = 2.0 * (dxi_da * om + xi * dom_da) * v + 2.0 * om * dom_da * h
-            j21 = -g * da_dh - om * om
-            j22 = -g * da_dv - 2.0 * xi * om
+            j21, j22 = jac(float(x[0]), float(x[1]))
             # exp([[0, dt], [j21*dt, j22*dt]]) to fourth order, elementwise.
             b = j21 * dt
             c = j22 * dt
@@ -721,7 +466,6 @@ def nonlinear_heave_model(
             )
 
     elif jacobian == "numeric":
-        from .estimators import numeric_jacobian
 
         def jac_transition(x, u):
             return numeric_jacobian(lambda xx: propagate(xx, u), x)

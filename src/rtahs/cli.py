@@ -41,17 +41,11 @@ def _load_case(args) -> "CaseConfig":
     else:
         raise ValueError("either --case or --config is required")
 
-    overrides = {}
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
-    if getattr(args, "t_end", None) is not None:
-        overrides["t_end"] = args.t_end
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        overrides["mode"] = args.mode
-    if getattr(args, "estimator", None) is not None:
-        overrides["estimator"] = args.estimator
+    overrides = {
+        name: getattr(args, name)
+        for name in ("dt", "t_end", "seed", "mode", "estimator")
+        if getattr(args, name, None) is not None
+    }
     if overrides:
         cfg = replace(cfg, **overrides)
     if getattr(args, "delay", None) is not None:
@@ -108,23 +102,13 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_physical(args) -> int:
-    from .cases import StaticGenerator, truth_generator
-    from .cosim import SurrogateRunner, SurrogateSession
-    from .harness import lockstep_config
+    from .cases import StaticGenerator
+    from .cosim import SurrogateRunner
+    from .harness import build_surrogate_session, lockstep_config
 
     cfg = _load_case(args)
-    if args.model == "zero":
-        generator = StaticGenerator(cfg.n_dofs, cfg.dt)
-    else:
-        generator = truth_generator(cfg)
-    session = SurrogateSession(
-        generator=generator,
-        dt=cfg.dt,
-        disp_noise_std=cfg.surrogate.disp_noise_std,
-        force_noise_std=cfg.surrogate.force_noise_std,
-        delay_tau=cfg.surrogate.delay_tau,
-        seed=cfg.seed,
-    )
+    generator = StaticGenerator(cfg.n_dofs, cfg.dt) if args.model == "zero" else None
+    session = build_surrogate_session(cfg, generator)
     runner = SurrogateRunner(lockstep_config(cfg), session, _parse_addr(args.connect))
     runner.run()
     st = runner.stats

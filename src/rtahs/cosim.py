@@ -29,7 +29,6 @@ from .estimators import (
     TransitionModel,
     aekf_step,
     ekf_step,
-    kf_step,
     update_only_step,
 )
 from .integrators import TimeSeries
@@ -95,11 +94,6 @@ class DelayLine:
         return self._buf[0][1]
 
 
-def apply_delay(d: DelayLine, t: float, sample):
-    """Functional alias for :meth:`DelayLine.apply`."""
-    return d.apply(t, sample)
-
-
 class LossInjector:
     """Deterministic (seeded) Bernoulli packet suppression."""
 
@@ -125,6 +119,7 @@ class SessionStats:
     decode_errors: int = 0
     retries: int = 0  # resends of our own last outbound frame
     timeouts: int = 0
+    foreign: int = 0  # datagrams from an address other than the peer, dropped
 
     @property
     def delivered(self) -> int:
@@ -167,8 +162,14 @@ class LockstepConfig:
 
 
 class LockstepEndpoint:
-    """One side of the alternating exchange: socket, expected sequence
-    number and statistics."""
+    """One side of the alternating exchange: socket, peer address and
+    statistics.
+
+    Each side pins its peer at the handshake: the server the sender of
+    the handshake it accepts, the surrogate the sender of the reply.
+    From then on datagrams from any other address are dropped and
+    counted as ``foreign``.
+    """
 
     def __init__(
         self,
@@ -180,11 +181,12 @@ class LockstepEndpoint:
     ):
         self.sock = sock
         self.peer = peer
+        self.pinned = False
+        self.source: Optional[tuple[str, int]] = None  # sender of the last frame
         self.timeout = timeout
         self.max_retries = max_retries
         self.loss = loss
         self.stats = SessionStats()
-        self.expected_seq = 0
 
     def send(self, frame: Frame) -> None:
         self.stats.sent += 1
@@ -195,22 +197,24 @@ class LockstepEndpoint:
 
     def recv(self) -> Optional[Frame]:
         """One receive attempt within the timeout; returns None on
-        timeout, skips undecodable datagrams."""
-        deadline = self.timeout
-        self.sock.settimeout(deadline)
+        timeout, skips foreign and undecodable datagrams."""
+        self.sock.settimeout(self.timeout)
         while True:
             try:
                 data, addr = self.sock.recvfrom(65535)
             except socket.timeout:
                 self.stats.timeouts += 1
                 return None
-            if self.peer is None:
-                self.peer = addr
+            if self.pinned and addr != self.peer:
+                self.stats.foreign += 1
+                continue
             try:
-                return decode_frame(data)
+                frame = decode_frame(data)
             except FrameDecodeError:
                 self.stats.decode_errors += 1
                 continue
+            self.source = addr
+            return frame
 
     def request(self, outbound: Frame, want_type: MsgType, want_seq: int) -> Frame:
         """Send ``outbound`` and wait for the matching reply, resending on
@@ -271,7 +275,6 @@ class EstimatorSession:
         self.estimator = estimator
         self.dofs = dofs
         self.dt = dt
-        self.n_samples = n_samples
         self.adaptive = adaptive or AdaptiveConfig()
         self._prev_forces = np.zeros(len(dofs))
         n = len(dofs)
@@ -287,9 +290,8 @@ class EstimatorSession:
         f = np.asarray(forces, dtype=float)
         if k == 0:
             self.fs = update_only_step(self.fs, z, self.model)
-        elif self.estimator == "kf":
-            self.fs = kf_step(self.fs, self._prev_forces, z, self.model)
-        elif self.estimator == "ekf":
+        elif self.estimator in ("kf", "ekf"):
+            # on a linear model the EKF step is the Kalman filter step
             self.fs = ekf_step(self.fs, self._prev_forces, z, self.model)
         else:
             self.fs = aekf_step(self.fs, self._prev_forces, z, self.model, self.adaptive)
@@ -466,6 +468,7 @@ class NumericalServer:
 
         hs_budget = max(2, int(np.ceil(self.handshake_timeout / cfg.timeout)))
         hs_frame = self._wait_for(accept_handshake, step=0, max_timeouts=hs_budget)
+        ep.peer, ep.pinned = ep.source, True
         if not cfg.matches(hs_frame.handshake):
             raise SessionError(
                 f"handshake mismatch: peer proposed {hs_frame.handshake}, "
@@ -484,7 +487,6 @@ class NumericalServer:
 
         for k in range(n_samples):
             seq = k + 1
-            ep.expected_seq = seq
 
             def accept_measurement(frame: Frame, _seq=seq) -> Optional[str]:
                 if frame.msg_type == MsgType.HANDSHAKE:
@@ -533,8 +535,6 @@ class NumericalServer:
             )
         except SessionError:
             pass  # all exchanges complete; peer already gone
-        finally:
-            self.sock.close()
         return self.session.series()
 
 
@@ -576,12 +576,12 @@ class SurrogateRunner:
             ),
         )
         ep.request(hs, MsgType.HANDSHAKE, 0)
+        ep.peer, ep.pinned = ep.source, True
         self.session.prepare(cfg.n_samples, n_dofs)
 
         try:
             for k in range(cfg.n_samples):
                 seq = k + 1
-                ep.expected_seq = seq
                 forces, disps = self.session.measure(k)
                 meas = Frame(
                     msg_type=MsgType.MEASUREMENT,
@@ -610,26 +610,6 @@ class SurrogateRunner:
             self.sock.close()
 
 
-def numerical_server(
-    cfg: LockstepConfig,
-    session: EstimatorSession,
-    bind: tuple[str, int] = ("127.0.0.1", 0),
-    loss: Optional[LossInjector] = None,
-) -> TimeSeries:
-    """Run the estimator side of a UDP session to completion."""
-    return NumericalServer(cfg, session, bind, loss).run()
-
-
-def surrogate_physical(
-    cfg: LockstepConfig,
-    session: SurrogateSession,
-    connect: tuple[str, int],
-    loss: Optional[LossInjector] = None,
-) -> None:
-    """Run the force-generator side of a UDP session to completion."""
-    SurrogateRunner(cfg, session, connect, loss).run()
-
-
 def run_udp_pair(
     cfg: LockstepConfig,
     est: EstimatorSession,
@@ -640,9 +620,12 @@ def run_udp_pair(
     """Run server and surrogate against each other on the loopback
     interface, the surrogate on a background thread.
 
-    Returns (series, server stats, surrogate stats); exceptions from the
-    surrogate thread are re-raised here.  The handshake grace period is
-    short since both endpoints start together.
+    Returns (series, server stats, surrogate stats).  The surrogate's
+    own exception is re-raised here; when the server failed too, it is
+    chained to the server's error and carries its partial series.  A
+    surrogate thread still running after the join is a SessionError.
+    The handshake grace period is short since both endpoints start
+    together.
     """
     server = NumericalServer(
         cfg, est, ("127.0.0.1", 0), server_loss, handshake_timeout=5.0
@@ -660,8 +643,21 @@ def run_udp_pair(
     thread.start()
     try:
         series = server.run()
-    finally:
+    except BaseException as exc:
         thread.join(timeout=10.0)
+        if not (failure and isinstance(exc, SessionError)):
+            raise
+        err = failure[0]
+        if isinstance(err, SessionError) and err.partial_series is None:
+            err.partial_series = exc.partial_series
+        raise err from exc
+    thread.join(timeout=10.0)
     if failure:
         raise failure[0]
+    if thread.is_alive():
+        raise SessionError(
+            "surrogate endpoint still running 10 s after the server finished",
+            last_good_step=len(series) - 1,
+            partial_series=series,
+        )
     return series, server.stats, runner.stats

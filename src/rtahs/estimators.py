@@ -162,11 +162,6 @@ class TransitionModel:
     # fused single-DOF kernel skip the observe() indirection.
     linear_observation: bool = False
 
-    def noise_jacobians(self) -> tuple[np.ndarray, np.ndarray]:
-        W = _eye(self.n_states) if self.W is None else self.W
-        V = _eye(self.n_obs) if self.V is None else self.V
-        return W, V
-
 
 def linear_transition_model(ssm) -> TransitionModel:
     """Transition model for a linear state-space system (constant
@@ -346,17 +341,6 @@ def covariance_match(
     )
     R_new = floor_spd(R_new, cfg.psd_floor)
     return NoiseStats(q=q_new, Q=Q_new, r=r_new, R=R_new)
-
-
-def kf_step(
-    fs: FilterState, u: np.ndarray, z: np.ndarray, m: TransitionModel
-) -> FilterState:
-    """Linear Kalman filter step (fixed noise statistics).
-
-    Identical math to :func:`ekf_step`; on a linear transition model the
-    constant Jacobians make the two coincide exactly.
-    """
-    return ekf_step(fs, u, z, m)
 
 
 def _sdof_scalar_step(

@@ -6,18 +6,19 @@ from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .cases import (
+    DISPLACEMENT_LIMIT_HEIGHTS,
     CaseConfig,
     adaptive_config,
+    case_stepper,
     filter_model,
     initial_filter_state,
-    oracle_system,
     truth_generator,
 )
 from .cosim import (
@@ -29,7 +30,7 @@ from .cosim import (
     run_in_process,
     run_udp_pair,
 )
-from .integrators import MechState, TimeSeries, simulate
+from .integrators import TimeSeries, simulate
 from .metrics import ComparisonMetrics, compare_series
 
 # Floats are written with 17 significant digits so CSV artifacts are
@@ -67,9 +68,11 @@ def build_estimator_session(cfg: CaseConfig, trace_covariance: bool = False) -> 
     )
 
 
-def build_surrogate_session(cfg: CaseConfig) -> SurrogateSession:
+def build_surrogate_session(cfg: CaseConfig, generator=None) -> SurrogateSession:
+    """Surrogate side of a case; ``generator`` replaces the case's truth
+    generator (e.g. a :class:`~rtahs.cases.StaticGenerator`)."""
     return SurrogateSession(
-        generator=truth_generator(cfg),
+        generator=truth_generator(cfg) if generator is None else generator,
         dt=cfg.dt,
         disp_noise_std=cfg.surrogate.disp_noise_std,
         force_noise_std=cfg.surrogate.force_noise_std,
@@ -109,15 +112,11 @@ def run_loop(cfg: CaseConfig, trace_covariance: bool = False):
 
 
 def run_oracle(cfg: CaseConfig) -> TimeSeries:
-    """Run the high-fidelity reference integrator for a case."""
-    system = oracle_system(cfg)
-    init = MechState(
-        x=np.asarray(cfg.x0_disp, float),
-        v=np.asarray(cfg.x0_vel, float),
-        acc=np.zeros(cfg.n_dofs),
-        t=0.0,
-    )
-    return simulate(system, init, cfg.dt, cfg.t_end)
+    """Run the high-fidelity reference integrator for a case: a fresh
+    case stepper, sampled without noise."""
+    labels = tuple(d.label for d in cfg.dofs)
+    limit = DISPLACEMENT_LIMIT_HEIGHTS * cfg.aero.D
+    return simulate(case_stepper(cfg), labels, cfg.t_end, limit)
 
 
 def run_case(cfg: CaseConfig, trace_covariance: bool = False) -> CaseResult:
@@ -160,8 +159,6 @@ def run_delay_study(
     the same filter with covariance matching switched off, against the
     same reference, quantifying what the adaptation buys under delay.
     """
-    from dataclasses import replace
-
     for tau in taus:
         if tau < 0:
             raise ValueError(f"delay must be >= 0, got {tau}")
@@ -306,22 +303,9 @@ def write_summary(result: CaseResult, path: Path) -> None:
     items.append(("rtahs.truncated", str(result.rtahs.truncated).lower()))
     items.append(("oracle.truncated", str(result.oracle.truncated).lower()))
     items += metrics_summary_items(result.metrics)
-    if result.server_stats is not None:
-        st = result.server_stats
-        items += [
-            ("session.server.sent", str(st.sent)),
-            ("session.server.received", str(st.received)),
-            ("session.server.retries", str(st.retries)),
-            ("session.server.stale", str(st.stale)),
-        ]
-    if result.surrogate_stats is not None:
-        st = result.surrogate_stats
-        items += [
-            ("session.surrogate.sent", str(st.sent)),
-            ("session.surrogate.received", str(st.received)),
-            ("session.surrogate.retries", str(st.retries)),
-            ("session.surrogate.stale", str(st.stale)),
-        ]
+    for side, st in (("server", result.server_stats), ("surrogate", result.surrogate_stats)):
+        if st is not None:
+            items += [(f"session.{side}.{f.name}", str(getattr(st, f.name))) for f in fields(st)]
     path.write_text("".join(f"{k} = {v}\n" for k, v in items))
 
 

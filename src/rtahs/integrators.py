@@ -245,151 +245,155 @@ def rk4_scalar_2nd(
     return h_new, v_new
 
 
-@dataclass(frozen=True)
-class SecondOrderSystem:
-    """Governing-equation bundle consumed by :func:`simulate`.
+class Stepper:
+    """Fixed-step integrator of one case's governing equations.
 
-    ``force(t, x, v)`` is the applied generalized force vector,
-    ``acc(t, x, v)`` the resulting acceleration.  For linear systems with
-    state-proportional forces, ``newmark_mats``/``newmark_force`` provide
-    the equivalent folded matrices (aero damping/stiffness moved into C
-    and K) with a time-only residual force, so the implicit Newmark path
-    never has to iterate on the force.  Single-DOF systems may supply
-    ``acc_scalar``/``force_scalar`` float closures, which the RK4 driver
-    prefers for speed.
+    Holds the state (``x``, ``v``) and the step count ``k``;
+    :meth:`advance` moves one ``dt`` and :meth:`force` is the applied
+    force ``force(t, x, v)`` at the current state.  The clock is the step
+    count: step k starts at ``k * dt`` and its end state is stamped
+    ``k * dt + dt``.  The oracle samples a stepper with :func:`simulate`;
+    the surrogate session reads it as its truth through :meth:`outputs`.
+    Subclasses supply ``_step(t)``, whose kernel raises
+    :class:`IntegrationError` on a non-finite state and then leaves the
+    state and the count untouched.
     """
 
-    n_dofs: int
-    dof_labels: tuple[str, ...]
-    acc: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    force: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    method: str = "rk4"
-    newmark_mats: Optional[StructuralMatrices] = None
-    newmark_force: Optional[Callable[[float], np.ndarray]] = None
-    displacement_limit: Optional[np.ndarray] = None
-    acc_scalar: Optional[Callable[[float, float, float], float]] = None
-    force_scalar: Optional[Callable[[float, float, float], float]] = None
+    def __init__(self, force, dt: float, x0, v0):
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        self._force = force
+        self.dt = dt
+        self.k = 0
+        self.t = 0.0
+        self.x = np.asarray(x0, float).copy()
+        self.v = np.asarray(v0, float).copy()
+
+    def advance(self) -> None:
+        t = self.k * self.dt
+        self._step(t)
+        self.k += 1
+        self.t = t + self.dt
+
+    def force(self):
+        return self._force(self.t, self.x, self.v)
+
+    def force_at(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Applied force for an arbitrary motion (drives the echo surrogate)."""
+        return self._force(t, x, v)
+
+    def peak(self) -> float:
+        """Largest displacement magnitude of the current state."""
+        return float(np.max(np.abs(self.x)))
+
+    def record(self, k: int, xs: np.ndarray, vs: np.ndarray, fs: np.ndarray) -> None:
+        """Write the current state and force into row k of the samples."""
+        xs[k], vs[k], fs[k] = self.x, self.v, self.force()
+
+    def outputs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(force, displacement) arrays, as the surrogate session reads them."""
+        return self.force(), self.x.copy()
+
+    def receive_command(self, disp: np.ndarray) -> None:
+        """Commands do not act on an integrated truth, which follows its
+        own dynamics."""
+
+
+class NewmarkStepper(Stepper):
+    """Newmark-beta on matrices into which any state-proportional force
+    has been folded, so the implicit step never iterates on the force."""
+
+    def __init__(self, mats: StructuralMatrices, force, dt: float, x0, v0):
+        super().__init__(force, dt, x0, v0)
+        self.solver = NewmarkSolver(mats, dt)
+        self._zero = np.zeros(len(self.x))
+        self.acc = self.solver.initial_acceleration(self.x, self.v, self._zero)
+
+    def _step(self, t: float) -> None:
+        self.x, self.v, self.acc = self.solver.step_arrays(self.x, self.v, self.acc, self._zero)
+
+
+class Rk4Stepper(Stepper):
+    """Multi-DOF RK4 of x'' = acc(t, x, v) on the stacked state [x, v]."""
+
+    def __init__(self, acc, force, dt: float, x0, v0):
+        super().__init__(force, dt, x0, v0)
+        self._acc = acc
+        self.n = len(self.x)
+
+    def _deriv(self, t: float, y: np.ndarray) -> np.ndarray:
+        return np.concatenate((y[self.n :], self._acc(t, y[: self.n], y[self.n :])))
+
+    def _step(self, t: float) -> None:
+        y = rk4_step(self._deriv, np.concatenate([self.x, self.v]), t, self.dt)
+        self.x, self.v = y[: self.n], y[self.n :]
+
+
+class ScalarRk4Stepper(Stepper):
+    """Single-DOF RK4 over float closures ``acc(t, h, v)`` and
+    ``force(t, h, v)``; ``x``, ``v`` and the force are floats."""
+
+    def __init__(self, acc, force, dt: float, x0, v0):
+        super().__init__(force, dt, x0, v0)
+        self._acc = acc
+        self.x = float(self.x[0])
+        self.v = float(self.v[0])
+
+    def _step(self, t: float) -> None:
+        self.x, self.v = rk4_scalar_2nd(self._acc, self.x, self.v, t, self.dt)
+
+    def force_at(self, t, x, v):
+        return np.array([self._force(t, x[0], v[0])])
+
+    def peak(self) -> float:
+        return abs(self.x)
+
+    def record(self, k: int, xs: np.ndarray, vs: np.ndarray, fs: np.ndarray) -> None:
+        xs[k, 0], vs[k, 0], fs[k, 0] = self.x, self.v, self._force(self.t, self.x, self.v)
+
+    def outputs(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([self._force(self.t, self.x, self.v)]), np.array([self.x])
 
 
 def simulate(
-    system: SecondOrderSystem,
-    init: MechState,
-    dt: float,
+    stepper: Stepper,
+    labels: tuple[str, ...],
     t_end: float,
-    gamma: float = 0.5,
-    beta: float = 0.25,
+    limit: Optional[float] = None,
 ) -> TimeSeries:
-    """Integrate a second-order system on a fixed grid.
+    """Sample a fresh stepper on its fixed grid from t = 0.
 
     Produces floor(t_end/dt)+1 samples with channels ``x_<dof>``,
     ``xdot_<dof>`` and the applied force ``f_<dof>`` per DOF.  Divergent
-    runs are truncated (remaining samples hold the last finite state)
-    once any |x_i| exceeds the per-channel displacement limit, and the
-    truncation step is flagged on the returned series.
+    runs are truncated and the truncation step is flagged on the
+    returned series: a step whose state turns non-finite holds the last
+    finite sample from there on, and a step whose largest |x_i| exceeds
+    ``limit`` keeps its sample and holds it after that.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    n_steps = int(np.floor(t_end / dt + 1e-9))
-    n_samp = n_steps + 1
-    nd = system.n_dofs
-    labels = system.dof_labels
-    xs = np.zeros((n_samp, nd))
-    vs = np.zeros((n_samp, nd))
-    fs = np.zeros((n_samp, nd))
-    limit = system.displacement_limit
+    dt = stepper.dt
+    n_samp = int(np.floor(t_end / dt + 1e-9)) + 1
+    xs = np.zeros((n_samp, len(labels)))
+    vs = np.zeros((n_samp, len(labels)))
+    fs = np.zeros((n_samp, len(labels)))
+    stepper.record(0, xs, vs, fs)
     truncated_step = None
+    for k in range(1, n_samp):
+        try:
+            stepper.advance()
+        except IntegrationError:
+            # hold the last finite sample; divergence is data, not an error
+            truncated_step, held = k, k
+            break
+        stepper.record(k, xs, vs, fs)
+        if limit is not None and stepper.peak() > limit:
+            truncated_step, held = k, k + 1
+            break
+    if truncated_step is not None:
+        xs[held:], vs[held:], fs[held:] = xs[held - 1], vs[held - 1], fs[held - 1]
 
-    def truncate(k: int) -> None:
-        # hold the last finite sample; divergence is data, not an error
-        nonlocal truncated_step
-        truncated_step = k
-        xs[k:] = xs[k - 1]
-        vs[k:] = vs[k - 1]
-        fs[k:] = fs[k - 1]
-
-    if system.method == "newmark":
-        if system.newmark_mats is None:
-            raise ValueError("newmark method requires folded matrices")
-        ext = system.newmark_force or (lambda t: np.zeros(nd))
-        solver = NewmarkSolver(system.newmark_mats, dt, gamma, beta)
-        x, v = init.x.copy(), init.v.copy()
-        acc = solver.initial_acceleration(x, v, np.asarray(ext(init.t), dtype=float))
-        xs[0], vs[0] = x, v
-        fs[0] = system.force(init.t, x, v)
-        for k in range(1, n_samp):
-            t_next = init.t + k * dt
-            try:
-                x, v, acc = solver.step_arrays(
-                    x, v, acc, np.asarray(ext(t_next), dtype=float)
-                )
-            except IntegrationError:
-                truncate(k)
-                break
-            xs[k], vs[k] = x, v
-            fs[k] = system.force(t_next, x, v)
-            if limit is not None and np.any(np.abs(x) > limit):
-                truncated_step = k
-                xs[k + 1 :] = x
-                vs[k + 1 :] = v
-                fs[k + 1 :] = fs[k]
-                break
-    elif system.method == "rk4" and nd == 1 and system.acc_scalar is not None:
-        acc_s = system.acc_scalar
-        force_s = system.force_scalar or (
-            lambda t, h, v: float(system.force(t, np.array([h]), np.array([v]))[0])
-        )
-        lim = float(limit[0]) if limit is not None else None
-        h, v = float(init.x[0]), float(init.v[0])
-        xs[0, 0], vs[0, 0] = h, v
-        fs[0, 0] = force_s(init.t, h, v)
-        for k in range(1, n_samp):
-            t_prev = init.t + (k - 1) * dt
-            try:
-                h, v = rk4_scalar_2nd(acc_s, h, v, t_prev, dt)
-            except IntegrationError:
-                truncate(k)
-                break
-            xs[k, 0], vs[k, 0] = h, v
-            fs[k, 0] = force_s(t_prev + dt, h, v)
-            if lim is not None and abs(h) > lim:
-                truncated_step = k
-                xs[k + 1 :, 0] = h
-                vs[k + 1 :, 0] = v
-                fs[k + 1 :, 0] = fs[k, 0]
-                break
-    elif system.method == "rk4":
-        acc_fn = system.acc
-
-        def deriv(t, y, _out_len=2 * nd):
-            out = np.empty(_out_len)
-            out[:nd] = y[nd:]
-            out[nd:] = acc_fn(t, y[:nd], y[nd:])
-            return out
-
-        y = np.concatenate([init.x, init.v])
-        xs[0], vs[0] = init.x, init.v
-        fs[0] = system.force(init.t, init.x, init.v)
-        for k in range(1, n_samp):
-            t_prev = init.t + (k - 1) * dt
-            try:
-                y = rk4_step(deriv, y, t_prev, dt)
-            except IntegrationError:
-                truncate(k)
-                break
-            xs[k], vs[k] = y[:nd], y[nd:]
-            fs[k] = system.force(init.t + k * dt, y[:nd], y[nd:])
-            if limit is not None and np.any(np.abs(y[:nd]) > limit):
-                truncated_step = k
-                xs[k + 1 :] = y[:nd]
-                vs[k + 1 :] = y[nd:]
-                fs[k + 1 :] = fs[k]
-                break
-    else:
-        raise ValueError(f"unknown integration method {system.method!r}")
-
-    t = init.t + dt * np.arange(n_samp)
+    t = dt * np.arange(n_samp)
     data: dict[str, np.ndarray] = {}
     for i, lab in enumerate(labels):
         data[f"x_{lab}"] = xs[:, i]

@@ -15,10 +15,14 @@ from rtahs.cosim import (
     LossInjector,
     SessionError,
     SurrogateSession,
-    apply_delay,
     run_udp_pair,
 )
-from rtahs.harness import build_estimator_session, lockstep_config, run_loop
+from rtahs.harness import (
+    build_estimator_session,
+    build_surrogate_session,
+    lockstep_config,
+    run_loop,
+)
 from rtahs.metrics import compare_series
 
 
@@ -55,10 +59,6 @@ class TestDelayLine:
         d.apply(1.0, 1.0)
         with pytest.raises(ValueError):
             d.apply(0.5, 2.0)
-
-    def test_functional_alias(self):
-        d = DelayLine(0.0)
-        assert apply_delay(d, 0.0, 42.0) == 42.0
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -280,6 +280,78 @@ class TestSessions:
         assert err.value.partial_series is not None
         assert len(err.value.partial_series) == 3
         assert err.value.last_good_step == 2
+
+    def test_surrogate_resend_exhaustion_reaches_the_caller(self):
+        # Loss seed 153 lets the server's handshake reply through and drops
+        # its next four datagrams: the COMMAND for seq 1 and the three
+        # resends the surrogate's duplicates ask for.  The surrogate gives
+        # up first; its own error is what the caller sees, chained to the
+        # server's, with the server's partial series attached.
+        cfg, est, sur = zero_session(n_samples=50)
+        lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=3)
+        with pytest.raises(SessionError) as err:
+            run_udp_pair(lcfg, est, sur, server_loss=LossInjector(0.99, seed=153))
+        assert "no reply to MEASUREMENT seq 1 after 3 resends" in str(err.value)
+        assert isinstance(err.value.__cause__, SessionError)
+        assert "peer went silent" in str(err.value.__cause__)
+        assert len(err.value.partial_series) == 1
+
+    def test_foreign_sender_is_dropped(self):
+        # Well-formed frames with the next sequence number, sent from a
+        # third socket in the middle of a run, must be dropped: each
+        # endpoint pinned its peer at the handshake.  The MEASUREMENT would
+        # otherwise reach the filter, the COMMAND the surrogate.
+        import socket as socket_mod
+        import threading
+
+        from rtahs.cosim import NumericalServer, SurrogateRunner
+        from rtahs.wire import Frame, MsgType, encode_frame
+
+        cfg = default_config("case1-linear", t_end=1.0)
+        clean, _, _, _ = run_loop(replace(cfg, mode="udp"))
+        lcfg = lockstep_config(cfg)
+        server = NumericalServer(lcfg, build_estimator_session(cfg), handshake_timeout=5.0)
+        sur = build_surrogate_session(cfg)
+        intruder = socket_mod.socket(socket_mod.AF_INET, socket_mod.SOCK_DGRAM)
+        advance, advanced = sur.advance, []
+
+        def advance_then_intrude():
+            advance()
+            advanced.append(None)
+            if len(advanced) == 101:  # step 100 is done; the server expects seq 102
+                meas = Frame(
+                    msg_type=MsgType.MEASUREMENT,
+                    dof_count=1,
+                    seq=102,
+                    sim_time=101 * cfg.dt,
+                    forces=(5.0,),
+                    displacements=(0.05,),
+                )
+                cmd = Frame(
+                    msg_type=MsgType.COMMAND,
+                    dof_count=1,
+                    seq=102,
+                    sim_time=101 * cfg.dt,
+                    displacements=(0.05,),
+                )
+                intruder.sendto(encode_frame(meas), server.address)
+                intruder.sendto(encode_frame(cmd), runner.sock.getsockname())
+
+        sur.advance = advance_then_intrude
+        runner = SurrogateRunner(lcfg, sur, server.address)
+        thread = threading.Thread(target=runner.run, daemon=True)
+        thread.start()
+        try:
+            series = server.run()
+        finally:
+            thread.join(timeout=10.0)
+            intruder.close()
+        assert not thread.is_alive()
+        assert len(advanced) == 101 + (cfg.n_samples - 102)
+        for ch in clean.channels:
+            assert np.array_equal(series.channel(ch), clean.channel(ch)), ch
+        assert server.stats.foreign == 1 and runner.stats.foreign == 1
+        assert server.stats.duplicates == 0 and runner.stats.stale == 0
 
     def test_surrogate_timeout_raises_session_error(self):
         cfg, est, sur = zero_session()

@@ -13,9 +13,11 @@ from rtahs.cases import default_config
 from rtahs.cli import main
 from rtahs.config import ConfigFileError, config_from_dict, load_config
 from rtahs.harness import (
+    build_surrogate_session,
     read_series,
     run_case,
     run_delay_study,
+    run_oracle,
     write_case_artifacts,
 )
 
@@ -49,6 +51,35 @@ class TestRunCase:
     def test_case2dof_metrics_per_channel(self):
         res = run_case(default_config("case2dof", t_end=2.0))
         assert set(res.metrics) == {"x_heave", "x_torsion"}
+
+
+class TestOneStepperPerCase:
+    @pytest.mark.parametrize("case", ["case1-linear", "case1-nonlinear", "case2dof"])
+    def test_noiseless_surrogate_truth_is_the_oracle(self, case):
+        # The surrogate truth and the oracle step one stepper per case on
+        # one clock, so without noise the truth's measurements are the
+        # oracle's samples bit for bit.
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{case}.yaml")
+        cfg = replace(
+            cfg,
+            t_end=10.0,
+            surrogate=replace(cfg.surrogate, disp_noise_std=0.0, force_noise_std=0.0),
+        )
+        oracle = run_oracle(cfg)
+        sur = build_surrogate_session(cfg)
+        sur.prepare(cfg.n_samples, cfg.n_dofs)
+        forces, disps = [], []
+        for k in range(cfg.n_samples):
+            f, x = sur.measure(k)
+            forces.append(f)
+            disps.append(x)
+            if k < cfg.n_samples - 1:
+                sur.advance()
+        forces, disps = np.array(forces), np.array(disps)
+        assert not oracle.truncated
+        for i, d in enumerate(cfg.dofs):
+            assert np.array_equal(disps[:, i], oracle.channel(f"x_{d.label}"))
+            assert np.array_equal(forces[:, i], oracle.channel(f"f_{d.label}"))
 
 
 class TestArtifacts:
@@ -397,7 +428,13 @@ class TestCli:
         )
         assert rc == 0
         text = (tmp_path / "summary.txt").read_text()
-        assert "session.server.sent" in text
+        summary = dict(line.split(" = ") for line in text.splitlines())
+        for side in ("server", "surrogate"):
+            for counter in (
+                "sent", "received", "retries", "stale",
+                "lost", "duplicates", "decode_errors", "timeouts", "foreign",
+            ):
+                assert int(summary[f"session.{side}.{counter}"]) >= 0, (side, counter)
 
     def test_serve_and_physical_subcommands(self, tmp_path):
         # full split-process topology exercised through the CLI entry

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rtahs.cases import default_config, oracle_system, with_aero
+from rtahs.cases import case_stepper, default_config, with_aero
 from rtahs.dynamics import DofId, ModalParams, assemble_matrices, build_state_space
+from rtahs.harness import run_oracle
 from rtahs.integrators import (
     MechState,
-    SecondOrderSystem,
+    NewmarkStepper,
+    Rk4Stepper,
     TimeSeries,
     newmark_step,
     rk4_scalar_2nd,
@@ -140,28 +142,20 @@ class TestRk4:
             rk4_step(lambda t, y: y * np.inf, np.array([1.0]), 0.0, 0.1)
 
 
+def zero_force(t, x, v):
+    return np.zeros(1)
+
+
 class TestSimulate:
     def test_zero_force_zero_init(self):
-        mats = sdof_mats()
-        system = SecondOrderSystem(
-            n_dofs=1,
-            dof_labels=("heave",),
-            acc=lambda t, x, v: np.linalg.solve(mats.M, -mats.C @ v - mats.K @ x),
-            force=lambda t, x, v: np.zeros(1),
-            method="newmark",
-            newmark_mats=mats,
-        )
-        init = MechState(x=[0.0], v=[0.0], acc=[0.0], t=0.0)
-        out = simulate(system, init, dt=0.01, t_end=1.0)
+        stepper = NewmarkStepper(sdof_mats(), zero_force, 0.01, [0.0], [0.0])
+        out = simulate(stepper, ("heave",), t_end=1.0)
         assert len(out) == 101
         assert np.all(out.channel("x_heave") == 0.0)
         assert np.all(out.channel("f_heave") == 0.0)
 
     def test_case1_convergent_envelope_decays(self):
-        cfg = default_config("case1-linear")
-        system = oracle_system(cfg)
-        init = MechState(x=[0.01], v=[0.0], acc=[0.0], t=0.0)
-        out = simulate(system, init, dt=1e-3, t_end=20.0)
+        out = run_oracle(default_config("case1-linear", t_end=20.0))
         x = out.channel("x_heave")
         early = np.max(np.abs(x[: len(x) // 4]))
         late = np.max(np.abs(x[-len(x) // 4 :]))
@@ -169,20 +163,14 @@ class TestSimulate:
         assert not out.truncated
 
     def test_case1_divergent_envelope_grows(self):
-        cfg = with_aero(default_config("case1-linear"), Y1=11.966)
-        system = oracle_system(cfg)
-        init = MechState(x=[0.01], v=[0.0], acc=[0.0], t=0.0)
-        out = simulate(system, init, dt=1e-3, t_end=20.0)
+        out = run_oracle(with_aero(default_config("case1-linear", t_end=20.0), Y1=11.966))
         x = out.channel("x_heave")
         early = np.max(np.abs(x[: len(x) // 4]))
         late = np.max(np.abs(x[-len(x) // 4 :]))
         assert late > 1.2 * early
 
     def test_divergence_truncation(self):
-        cfg = with_aero(default_config("case1-linear"), Y1=400.0)
-        system = oracle_system(cfg)
-        init = MechState(x=[0.01], v=[0.0], acc=[0.0], t=0.0)
-        out = simulate(system, init, dt=1e-3, t_end=20.0)
+        out = run_oracle(with_aero(default_config("case1-linear", t_end=20.0), Y1=400.0))
         assert out.truncated
         assert out.truncated_step is not None
         # samples after the truncation step hold the last state
@@ -191,40 +179,30 @@ class TestSimulate:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_state_truncates_instead_of_raising(self):
-        system = SecondOrderSystem(
-            n_dofs=1,
-            dof_labels=("heave",),
-            acc=lambda t, x, v: x * 1e300,  # overflows within a few steps
-            force=lambda t, x, v: np.zeros(1),
-            method="rk4",
+        stepper = Rk4Stepper(
+            lambda t, x, v: x * 1e300,  # overflows within a few steps
+            zero_force,
+            1.0,
+            [1.0],
+            [0.0],
         )
-        init = MechState(x=[1.0], v=[0.0], acc=[0.0], t=0.0)
-        out = simulate(system, init, dt=1.0, t_end=10.0)
+        out = simulate(stepper, ("heave",), t_end=10.0)
         assert out.truncated
         x = out.channel("x_heave")
         assert np.isfinite(x).all()
+        # the failed step holds the last finite sample
+        assert np.all(x[out.truncated_step :] == x[out.truncated_step - 1])
 
     def test_bit_reproducibility(self):
         cfg = default_config("case1-nonlinear")
-        system = oracle_system(cfg)
-        init = MechState(x=[0.01], v=[0.0], acc=[0.0], t=0.0)
-        a = simulate(system, init, dt=1e-3, t_end=2.0)
-        b = simulate(system, init, dt=1e-3, t_end=2.0)
+        a = simulate(case_stepper(cfg), ("heave",), t_end=2.0)
+        b = simulate(case_stepper(cfg), ("heave",), t_end=2.0)
         assert np.array_equal(a.channel("x_heave"), b.channel("x_heave"))
         assert np.array_equal(a.channel("f_heave"), b.channel("f_heave"))
 
     def test_sample_count(self):
-        mats = sdof_mats()
-        system = SecondOrderSystem(
-            n_dofs=1,
-            dof_labels=("heave",),
-            acc=lambda t, x, v: np.zeros(1),
-            force=lambda t, x, v: np.zeros(1),
-            method="newmark",
-            newmark_mats=mats,
-        )
-        init = MechState(x=[0.0], v=[0.0], acc=[0.0], t=0.0)
-        out = simulate(system, init, dt=0.25, t_end=1.0)
+        stepper = NewmarkStepper(sdof_mats(), zero_force, 0.25, [0.0], [0.0])
+        out = simulate(stepper, ("heave",), t_end=1.0)
         assert len(out) == 5
         assert_allclose(out.t, [0.0, 0.25, 0.5, 0.75, 1.0])
 
