@@ -55,18 +55,9 @@ from .estimators import (
 from .harness import run_case, run_delay_study
 from .integrators import (
     IntegrationError,
-    MechState,
     TimeSeries,
-    newmark_step,
     rk4_step,
     simulate,
-)
-from .kinematics import (
-    CarriagePose,
-    EnvelopeError,
-    arm_rotation_increment,
-    joint_motor_target,
-    screw_increment,
 )
 from .metrics import ComparisonMetrics, classify_envelope, compare_series
 from .wire import (

@@ -72,20 +72,35 @@ def linear_se_force(h: float, h_dot: float, p: AeroParams) -> float:
     return p.dyn_pressure_2d * (p.Y1 * h_dot / p.U + p.Y2 * h / p.U)
 
 
-def nonlinear_vortex_force(h: float, h_dot: float, t: float, p: AeroParams) -> float:
-    """Nonlinear vortex-induced force per unit span.
+def vortex_force(p: AeroParams, span: float = 1.0):
+    """Nonlinear vortex-induced force on ``span`` of section, as a kernel
+    ``force(t, h, v)``.
 
     The velocity term saturates quadratically in displacement (even in
     h), the displacement term is normalized by section height, and a
     sinusoidal vortex-shedding component of amplitude CL_tilde/2 is
-    superposed.
+    superposed.  Unchecked: the truth and the oracle run it at every RK4
+    stage.
     """
-    bracket = (
-        p.Y1 * (1.0 - p.eps * h * h / (p.D * p.D)) * h_dot / p.U
-        + p.Y2 * h / p.D
-        + 0.5 * p.CL_tilde * math.sin(p.omega_vs * t + p.psi)
-    )
-    return p.dyn_pressure_2d * bracket
+    q2d = p.dyn_pressure_2d
+    Y1, Y2, eps, U, D = p.Y1, p.Y2, p.eps, p.U, p.D
+    cl_half = 0.5 * p.CL_tilde
+    omega_vs, psi = p.omega_vs, p.psi
+    sin = math.sin
+
+    def force(t: float, h: float, v: float) -> float:
+        return span * q2d * (
+            Y1 * (1.0 - eps * h * h / (D * D)) * v / U
+            + Y2 * h / D
+            + cl_half * sin(omega_vs * t + psi)
+        )
+
+    return force
+
+
+def nonlinear_vortex_force(h: float, h_dot: float, t: float, p: AeroParams) -> float:
+    """Nonlinear vortex-induced force per unit span (see :func:`vortex_force`)."""
+    return vortex_force(p)(t, h, h_dot)
 
 
 def instantaneous_amplitude(h: float, h_dot: float, omega0: float) -> float:

@@ -35,6 +35,7 @@ from .aero import (
     heave_acceleration,
     heave_jacobian,
     linear_se_force,
+    vortex_force,
 )
 from .dynamics import (
     DofId,
@@ -311,20 +312,8 @@ def _case1_nonlinear_scalar(cfg: CaseConfig):
     """Float closures (acc, force) for the amplitude-dependent heave
     system driven by the saturating vortex force."""
     p = cfg.modal[0]
-    aero, span = cfg.aero, cfg.span
-    D = aero.D
-    q2d = aero.dyn_pressure_2d
-    Y1, Y2, eps, U = aero.Y1, aero.Y2, aero.eps, aero.U
-    cl_half = 0.5 * aero.CL_tilde
-    omega_vs, psi = aero.omega_vs, aero.psi
-    acc_u = heave_acceleration(p.inertia, p.circ_freq, D)
-
-    def force_s(t: float, h: float, v: float) -> float:
-        return span * q2d * (
-            Y1 * (1.0 - eps * h * h / (D * D)) * v / U
-            + Y2 * h / D
-            + cl_half * math.sin(omega_vs * t + psi)
-        )
+    force_s = vortex_force(cfg.aero, cfg.span)
+    acc_u = heave_acceleration(p.inertia, p.circ_freq, cfg.aero.D)
 
     def acc_s(t: float, h: float, v: float) -> float:
         return acc_u(h, v, force_s(t, h, v))
@@ -429,8 +418,6 @@ def nonlinear_heave_model(
             x2 += sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         return np.array([x1, x2])
 
-    H = np.array([[1.0, 0.0]])
-
     if jacobian == "analytic":
 
         jac = heave_jacobian(omega0, D)
@@ -474,13 +461,7 @@ def nonlinear_heave_model(
         raise ValueError(f"unknown jacobian mode {jacobian!r}")
 
     return TransitionModel(
-        n_states=2,
-        n_obs=1,
-        propagate=propagate,
-        observe=lambda x: H @ x,
-        jac_transition=jac_transition,
-        jac_observation=lambda x: H,
-        linear_observation=True,
+        propagate=propagate, jac_transition=jac_transition, H=np.array([[1.0, 0.0]])
     )
 
 
@@ -502,7 +483,7 @@ def filter_model(cfg: CaseConfig) -> TransitionModel:
 
 
 def initial_filter_state(cfg: CaseConfig, model: TransitionModel) -> FilterState:
-    n, m = model.n_states, model.n_obs
+    m, n = model.H.shape
     noise = NoiseStats.diagonal(
         n,
         m,

@@ -1,8 +1,10 @@
 """YAML configuration files for the harness.
 
 A config file selects a shipped case and overrides any subset of its
-fields; unknown keys are rejected.  The full schema (all values shown
-are the ``case1-linear`` defaults):
+fields; unknown keys, non-mapping sections and values of another type
+than the default's are rejected (an int may stand for a float, a bool
+never for a number).  The full schema (all values shown are the
+``case1-linear`` defaults):
 
 .. code-block:: yaml
 
@@ -99,10 +101,26 @@ _TOP_KEYS = {
 }
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+def _check_keys(section, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigFileError(f"{where} must be a mapping, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigFileError(f"unknown key(s) in {where}: {sorted(unknown)}")
+
+
+def _coerce(value, like, where: str):
+    """``value`` as the type of ``like``: an int is accepted where a
+    float is expected, a bool is never a number."""
+    if isinstance(like, bool) or isinstance(value, bool):
+        ok = isinstance(like, bool) and isinstance(value, bool)
+    elif isinstance(like, float):
+        ok = isinstance(value, (int, float))
+    else:
+        ok = type(value) is type(like)
+    if not ok:
+        raise ConfigFileError(f"{where} must be {type(like).__name__}, got {value!r}")
+    return float(value) if isinstance(like, float) else value
 
 
 def _parse_dof(name: str) -> DofId:
@@ -112,19 +130,18 @@ def _parse_dof(name: str) -> DofId:
         raise ConfigFileError(f"unknown DOF {name!r}") from None
 
 
-def _replace_dataclass(obj, section: dict, where: str):
+def _replace_dataclass(obj, section, where: str):
     _check_keys(section, set(obj.__dataclass_fields__), where)
+    values = {k: _coerce(v, getattr(obj, k), f"{where}.{k}") for k, v in section.items()}
     try:
-        return replace(obj, **section)
-    except (TypeError, ValueError) as exc:
+        return replace(obj, **values)
+    except ValueError as exc:
         raise ConfigFileError(f"bad value in {where}: {exc}") from exc
 
 
 def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
     """Resolve a nested mapping (parsed YAML) into a CaseConfig, starting
     from the selected case's defaults."""
-    if not isinstance(raw, dict):
-        raise ConfigFileError("configuration root must be a mapping")
     _check_keys(raw, _TOP_KEYS, "configuration root")
     case = raw.get("case")
     if case not in CASE_IDS:
@@ -135,18 +152,16 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
         raise ConfigFileError(str(exc)) from exc
 
     top: dict[str, Any] = {}
-    for key in ("dt", "t_end", "span"):
+    for key in ("dt", "t_end", "span", "seed", "mode"):
         if key in raw:
-            top[key] = float(raw[key])
-    if "seed" in raw:
-        top["seed"] = int(raw["seed"])
-    if "mode" in raw:
-        top["mode"] = str(raw["mode"])
+            top[key] = _coerce(raw[key], getattr(cfg, key), key)
 
     if "structure" in raw:
         sec = raw["structure"]
         _check_keys(sec, {"modal", "x0", "x_hat0"}, "structure")
         if "modal" in sec:
+            if not isinstance(sec["modal"], list):
+                raise ConfigFileError(f"structure.modal must be a list, got {sec['modal']!r}")
             modal = []
             for entry in sec["modal"]:
                 _check_keys(
@@ -158,9 +173,10 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
                     modal.append(
                         ModalParams(
                             dof=_parse_dof(entry["dof"]),
-                            inertia=float(entry["inertia"]),
-                            damping_ratio=float(entry["damping_ratio"]),
-                            circ_freq=float(entry["circ_freq"]),
+                            **{
+                                k: _coerce(entry[k], 1.0, f"structure.modal.{k}")
+                                for k in ("inertia", "damping_ratio", "circ_freq")
+                            },
                         )
                     )
                 except (KeyError, ValueError) as exc:
@@ -173,30 +189,21 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
             x0 = sec["x0"]
             _check_keys(x0, {d.label for d in dofs}, "structure.x0")
             for d in dofs:
+                where = f"structure.x0.{d.label}"
                 entry = x0.get(d.label, {})
-                _check_keys(entry, {"disp", "vel"}, f"structure.x0.{d.label}")
-                disp.append(float(entry.get("disp", 0.0)))
-                vel.append(float(entry.get("vel", 0.0)))
+                _check_keys(entry, {"disp", "vel"}, where)
+                disp.append(_coerce(entry.get("disp", 0.0), 0.0, f"{where}.disp"))
+                vel.append(_coerce(entry.get("vel", 0.0), 0.0, f"{where}.vel"))
             top["x0_disp"] = tuple(disp)
             top["x0_vel"] = tuple(vel)
         if "x_hat0" in sec:
             val = sec["x_hat0"]
             if val == "truth":
                 top["x_hat0"] = None
+            elif isinstance(val, list):
+                top["x_hat0"] = tuple(_coerce(v, 0.0, "structure.x_hat0 entry") for v in val)
             else:
-                top["x_hat0"] = tuple(float(v) for v in val)
-
-    if "aero" in raw:
-        sec = dict(raw["aero"])
-        _check_keys(
-            sec,
-            {"rho", "U", "D", "B", "Y1", "Y2", "eps", "CL_tilde", "omega_vs", "psi"},
-            "aero",
-        )
-        try:
-            top["aero"] = replace(cfg.aero, **{k: float(v) for k, v in sec.items()})
-        except ValueError as exc:
-            raise ConfigFileError(f"bad aero value: {exc}") from exc
+                raise ConfigFileError(f'structure.x_hat0 must be "truth" or a list, got {val!r}')
 
     if "coupling" in raw:
         sec = raw["coupling"]
@@ -212,19 +219,14 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
                     E_d=np.asarray(sec["E_d"], dtype=float),
                     E_s=np.asarray(sec["E_s"], dtype=float),
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigFileError(f"bad coupling matrices: {exc}") from exc
         else:
             raise ConfigFileError(f"unknown coupling variant {variant!r}")
 
-    if "filter" in raw:
-        top["filter"] = _replace_dataclass(cfg.filter, dict(raw["filter"]), "filter")
-    if "surrogate" in raw:
-        top["surrogate"] = _replace_dataclass(
-            cfg.surrogate, dict(raw["surrogate"]), "surrogate"
-        )
-    if "cosim" in raw:
-        top["cosim"] = _replace_dataclass(cfg.cosim, dict(raw["cosim"]), "cosim")
+    for name in ("aero", "filter", "surrogate", "cosim"):
+        if name in raw:
+            top[name] = _replace_dataclass(getattr(cfg, name), raw[name], name)
 
     try:
         return replace(cfg, **top)

@@ -29,7 +29,7 @@ from .estimators import (
     TransitionModel,
     aekf_step,
     ekf_step,
-    update_only_step,
+    update,
 )
 from .integrators import TimeSeries
 from .wire import (
@@ -289,7 +289,7 @@ class EstimatorSession:
         z = np.asarray(displacements, dtype=float)
         f = np.asarray(forces, dtype=float)
         if k == 0:
-            self.fs = update_only_step(self.fs, z, self.model)
+            self.fs = update(self.fs, z, self.model)
         elif self.estimator in ("kf", "ekf"):
             # on a linear model the EKF step is the Kalman filter step
             self.fs = ekf_step(self.fs, self._prev_forces, z, self.model)

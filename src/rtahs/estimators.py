@@ -140,46 +140,28 @@ class FilterState:
 
 @dataclass(frozen=True)
 class TransitionModel:
-    """One-step transition/observation maps with their Jacobian providers.
+    """One-step transition map with its Jacobian, and the observation.
 
     ``propagate(x, u)`` advances the state over one sampling interval
     under a zero-order-hold input; ``jac_transition(x, u)`` is the
-    Jacobian of that discrete map.  The observation is
-    ``observe(x)`` with Jacobian ``jac_observation(x)``.  Noise enters
-    additively by default (W = V = identity).
+    Jacobian of that discrete map.  The filter observes ``H @ x`` through
+    the constant matrix ``H``; both noises enter additively.
     """
 
-    n_states: int
-    n_obs: int
     propagate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    observe: Callable[[np.ndarray], np.ndarray]
     jac_transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac_observation: Callable[[np.ndarray], np.ndarray]
-    W: Optional[np.ndarray] = None
-    V: Optional[np.ndarray] = None
-    # True when the observation is H @ x with a CONSTANT H (so
-    # jac_observation ignores its argument); lets the update and the
-    # fused single-DOF kernel skip the observe() indirection.
-    linear_observation: bool = False
+    H: np.ndarray
 
 
 def linear_transition_model(ssm) -> TransitionModel:
     """Transition model for a linear state-space system (constant
-    Jacobians equal to the discrete Phi and observation H)."""
-    Phi, Gamma, H = ssm.Phi, ssm.Gamma, ssm.H
+    Jacobian equal to the discrete Phi)."""
+    Phi, Gamma = ssm.Phi, ssm.Gamma
 
     def propagate(x, u):
         return Phi @ x + Gamma @ u
 
-    return TransitionModel(
-        n_states=ssm.n_states,
-        n_obs=H.shape[0],
-        propagate=propagate,
-        observe=lambda x: H @ x,
-        jac_transition=lambda x, u: Phi,
-        jac_observation=lambda x: H,
-        linear_observation=True,
-    )
+    return TransitionModel(propagate=propagate, jac_transition=lambda x, u: Phi, H=ssm.H)
 
 
 @dataclass(frozen=True)
@@ -198,7 +180,6 @@ class AdaptiveConfig:
     forgetting_factor: float = DEFAULT_FORGETTING_FACTOR
     enabled: bool = True
     q_update_form: str = "linearized"
-    psd_floor: float = PSD_FLOOR
 
     def __post_init__(self):
         if not (0.0 < self.forgetting_factor < 1.0):
@@ -220,16 +201,13 @@ def predict(
     """Prediction half-step.
 
     Returns (x_prior, P_prior, A_k) where x_prior includes the current
-    process-noise mean and P_prior = A P A' + W Q W', symmetrized.
+    process-noise mean and P_prior = A P A' + Q, symmetrized.
     """
     if not (isinstance(u, np.ndarray) and u.ndim == 1):
         u = np.atleast_1d(np.asarray(u, dtype=float))
     x_prior = np.asarray(m.propagate(fs.x, u), dtype=float) + fs.noise.q
     A_k = np.asarray(m.jac_transition(fs.x, u), dtype=float)
-    if m.W is None:
-        P_prior = symmetrize(A_k @ fs.P @ A_k.T + fs.noise.Q)
-    else:
-        P_prior = symmetrize(A_k @ fs.P @ A_k.T + m.W @ fs.noise.Q @ m.W.T)
+    P_prior = symmetrize(A_k @ fs.P @ A_k.T + fs.noise.Q)
     # any inf/nan entry poisons the sums, so two reductions cover the check
     if not math.isfinite(float(np.sum(x_prior)) + float(np.sum(P_prior))):
         raise FilterNumericalError("non-finite prediction", step=fs.k + 1)
@@ -242,55 +220,27 @@ def _update_core(
     z: np.ndarray,
     m: TransitionModel,
     noise: NoiseStats,
-    psd_floor: float = PSD_FLOOR,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Measurement update; returns (x_post, P_post, K, innovation, H_k)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Measurement update; returns (x_post, P_post, K, innovation)."""
     if not (isinstance(z, np.ndarray) and z.ndim == 1):
         z = np.atleast_1d(np.asarray(z, dtype=float))
-    H_k = np.asarray(m.jac_observation(x_prior), dtype=float)
-    if m.V is None and H_k.shape[0] == 1:
-        # Scalar observation: the gain is a rescaled covariance column.
-        h_row = H_k[0]
-        PH = P_prior @ h_row
-        s = float(h_row @ PH) + noise.R[0, 0]
-        if s == 0.0 or not np.isfinite(s):
-            raise FilterNumericalError("singular innovation covariance")
-        gain = PH / s
-        if m.linear_observation:
-            z_pred = float(h_row @ x_prior)
-        else:
-            z_pred = float(np.asarray(m.observe(x_prior))[0])
-        inn = z[0] - z_pred - noise.r[0]
-        x_post = x_prior + gain * inn
-        P_post = floor_spd(P_prior - gain[:, None] * PH[None, :], psd_floor)
-        innovation = np.array([inn])
-        K = gain[:, None]
-    else:
-        if m.V is None:
-            S = H_k @ P_prior @ H_k.T + noise.R
-        else:
-            S = H_k @ P_prior @ H_k.T + m.V @ noise.R @ m.V.T
-        S_inv = _inv_small(S)
-        K = P_prior @ H_k.T @ S_inv
-        innovation = z - np.asarray(m.observe(x_prior), dtype=float) - noise.r
-        x_post = x_prior + K @ innovation
-        P_post = floor_spd((_eye(len(x_prior)) - K @ H_k) @ P_prior, psd_floor)
+    H = m.H
+    S = H @ P_prior @ H.T + noise.R
+    K = P_prior @ H.T @ _inv_small(S)
+    innovation = z - H @ x_prior - noise.r
+    x_post = x_prior + K @ innovation
+    P_post = floor_spd((_eye(len(x_prior)) - K @ H) @ P_prior)
     if not math.isfinite(float(np.sum(x_post))):
         raise FilterNumericalError("non-finite posterior state")
-    return x_post, P_post, K, innovation, H_k
+    return x_post, P_post, K, innovation
 
 
-def update(
-    x_prior: np.ndarray,
-    P_prior: np.ndarray,
-    z: np.ndarray,
-    m: TransitionModel,
-    noise: NoiseStats,
-    k: int = 1,
-) -> FilterState:
-    """Measurement update returning the posterior filter state."""
-    x_post, P_post, _, _, _ = _update_core(x_prior, P_prior, z, m, noise)
-    return FilterState(x=x_post, P=P_post, noise=noise, k=k)
+def update(fs: FilterState, z: np.ndarray, m: TransitionModel) -> FilterState:
+    """Fuse a measurement into the current state without propagating it
+    (the initial sample of a session, taken at t0); the step count
+    stays."""
+    x_post, P_post, _, _ = _update_core(fs.x, symmetrize(fs.P), z, m, fs.noise)
+    return FilterState(x=x_post, P=P_post, noise=fs.noise, k=fs.k)
 
 
 def covariance_match(
@@ -302,7 +252,7 @@ def covariance_match(
     innovation: np.ndarray,
     K: np.ndarray,
     A_k: np.ndarray,
-    H_k: np.ndarray,
+    H: np.ndarray,
     cfg: AdaptiveConfig,
 ) -> NoiseStats:
     """Innovation-based recursive re-estimation of the noise statistics.
@@ -329,7 +279,7 @@ def covariance_match(
     Q_new = (1.0 - d) * n.Q + d * (
         np.outer(Ke, Ke) + new_P - A_k @ prev.P @ A_k.T
     )
-    Q_new = floor_spd(Q_new, cfg.psd_floor)
+    Q_new = floor_spd(Q_new)
 
     # Raw pre-fit residual z - h(x_prior), i.e. the innovation before the
     # measurement-mean correction.
@@ -337,9 +287,9 @@ def covariance_match(
     r_new = (1.0 - d) * n.r + d * raw
 
     R_new = (1.0 - d) * n.R + d * (
-        np.outer(innovation, innovation) - H_k @ P_prior @ H_k.T
+        np.outer(innovation, innovation) - H @ P_prior @ H.T
     )
-    R_new = floor_spd(R_new, cfg.psd_floor)
+    R_new = floor_spd(R_new)
     return NoiseStats(q=q_new, Q=Q_new, r=r_new, R=R_new)
 
 
@@ -370,7 +320,7 @@ def _sdof_scalar_step(
     pp12 = 0.5 * ((t11 * a21 + t12 * a22) + (t21 * a11 + t22 * a12)) + 0.5 * (
         Q[0, 1] + Q[1, 0]
     )
-    H = m.jac_observation(fs.x)
+    H = m.H
     h1, h2 = H[0, 0], H[0, 1]
     ph1 = pp11 * h1 + pp12 * h2
     ph2 = pp12 * h1 + pp22 * h2
@@ -399,28 +349,18 @@ def _sdof_scalar_step(
     )
 
 
-def _wants_scalar_kernel(m: TransitionModel) -> bool:
-    return (
-        m.n_states == 2
-        and m.n_obs == 1
-        and m.linear_observation
-        and m.W is None
-        and m.V is None
-    )
-
-
 def ekf_step(
     fs: FilterState, u: np.ndarray, z: np.ndarray, m: TransitionModel
 ) -> FilterState:
     """Extended Kalman filter step: predict through the (possibly
     nonlinear) transition map, then update with the measurement."""
-    if _wants_scalar_kernel(m):
+    if m.H.shape == (1, 2):
         if not (isinstance(u, np.ndarray) and u.ndim == 1):
             u = np.atleast_1d(np.asarray(u, dtype=float))
         return _sdof_scalar_step(fs, u, z, m)
     x_prior, P_prior, _ = predict(fs, u, m)
     try:
-        x_post, P_post, _, _, _ = _update_core(x_prior, P_prior, z, m, fs.noise)
+        x_post, P_post, _, _ = _update_core(x_prior, P_prior, z, m, fs.noise)
     except FilterNumericalError as exc:
         raise FilterNumericalError(str(exc), step=fs.k + 1) from exc
     return FilterState(x=x_post, P=P_post, noise=fs.noise, k=fs.k + 1)
@@ -440,24 +380,13 @@ def aekf_step(
         return ekf_step(fs, u, z, m)
     x_prior, P_prior, A_k = predict(fs, u, m)
     try:
-        x_post, P_post, K, innovation, H_k = _update_core(
-            x_prior, P_prior, z, m, fs.noise, cfg.psd_floor
-        )
+        x_post, P_post, K, innovation = _update_core(x_prior, P_prior, z, m, fs.noise)
     except FilterNumericalError as exc:
         raise FilterNumericalError(str(exc), step=fs.k + 1) from exc
     noise = covariance_match(
-        fs, x_prior, P_prior, x_post, P_post, innovation, K, A_k, H_k, cfg
+        fs, x_prior, P_prior, x_post, P_post, innovation, K, A_k, m.H, cfg
     )
     return FilterState(x=x_post, P=P_post, noise=noise, k=fs.k + 1)
-
-
-def update_only_step(
-    fs: FilterState, z: np.ndarray, m: TransitionModel
-) -> FilterState:
-    """Fuse a measurement into the current state without propagating
-    (used for the initial sample of a session, taken at t0)."""
-    x_post, P_post, _, _, _ = _update_core(fs.x, symmetrize(fs.P), z, m, fs.noise)
-    return FilterState(x=x_post, P=P_post, noise=fs.noise, k=fs.k)
 
 
 def numeric_jacobian(

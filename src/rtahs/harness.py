@@ -222,62 +222,43 @@ def read_series(path: Path) -> TimeSeries:
     return TimeSeries(dt=float(dt), t=t, data=data)
 
 
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return FLOAT_FMT.format(value)
+    return str(value)
+
+
+def _section_items(name: str, section) -> list[tuple[str, str]]:
+    return [(f"{name}.{f.name}", _fmt(getattr(section, f.name))) for f in fields(section)]
+
+
 def config_summary_items(cfg: CaseConfig) -> list[tuple[str, str]]:
     """Flat, stably ordered echo of every configuration field."""
-    items: list[tuple[str, str]] = [
-        ("case", cfg.case),
-        ("estimator", cfg.estimator),
-        ("mode", cfg.mode),
-        ("dt", FLOAT_FMT.format(cfg.dt)),
-        ("t_end", FLOAT_FMT.format(cfg.t_end)),
-        ("seed", str(cfg.seed)),
-        ("span", FLOAT_FMT.format(cfg.span)),
+    items = [
+        (key, _fmt(getattr(cfg, key)))
+        for key in ("case", "estimator", "mode", "dt", "t_end", "seed", "span")
     ]
     for i, p in enumerate(sorted(cfg.modal, key=lambda p: p.dof)):
         base = f"modal.{p.dof.label}"
         items += [
-            (f"{base}.inertia", FLOAT_FMT.format(p.inertia)),
-            (f"{base}.damping_ratio", FLOAT_FMT.format(p.damping_ratio)),
-            (f"{base}.circ_freq", FLOAT_FMT.format(p.circ_freq)),
-            (f"x0.{p.dof.label}.disp", FLOAT_FMT.format(cfg.x0_disp[i])),
-            (f"x0.{p.dof.label}.vel", FLOAT_FMT.format(cfg.x0_vel[i])),
+            (f"{base}.inertia", _fmt(p.inertia)),
+            (f"{base}.damping_ratio", _fmt(p.damping_ratio)),
+            (f"{base}.circ_freq", _fmt(p.circ_freq)),
+            (f"x0.{p.dof.label}.disp", _fmt(cfg.x0_disp[i])),
+            (f"x0.{p.dof.label}.vel", _fmt(cfg.x0_vel[i])),
         ]
-    a = cfg.aero
-    for name in ("rho", "U", "D", "B", "Y1", "Y2", "eps", "CL_tilde", "omega_vs", "psi"):
-        items.append((f"aero.{name}", FLOAT_FMT.format(getattr(a, name))))
+    items += _section_items("aero", cfg.aero)
     if cfg.coupling is not None:
         for name, mat in (("E_d", cfg.coupling.E_d), ("E_s", cfg.coupling.E_s)):
             for r in range(2):
                 for c in range(2):
-                    items.append(
-                        (f"coupling.{name}[{r}][{c}]", FLOAT_FMT.format(mat[r, c]))
-                    )
-    f = cfg.filter
-    items += [
-        ("filter.p0", FLOAT_FMT.format(f.p0)),
-        ("filter.process_var", FLOAT_FMT.format(f.process_var)),
-        ("filter.meas_var", FLOAT_FMT.format(f.meas_var)),
-        ("filter.process_mean", FLOAT_FMT.format(f.process_mean)),
-        ("filter.meas_mean", FLOAT_FMT.format(f.meas_mean)),
-        ("filter.forgetting_factor", FLOAT_FMT.format(f.forgetting_factor)),
-        ("filter.adapt_enabled", str(f.adapt_enabled).lower()),
-        ("filter.q_update_form", f.q_update_form),
-        ("filter.jacobian", f.jacobian),
-        ("x_hat0", "truth" if cfg.x_hat0 is None else ",".join(map(str, cfg.x_hat0))),
-    ]
-    s = cfg.surrogate
-    items += [
-        ("surrogate.kind", s.kind),
-        ("surrogate.disp_noise_std", FLOAT_FMT.format(s.disp_noise_std)),
-        ("surrogate.force_noise_std", FLOAT_FMT.format(s.force_noise_std)),
-        ("surrogate.delay_tau", FLOAT_FMT.format(s.delay_tau)),
-    ]
-    c = cfg.cosim
-    items += [
-        ("cosim.timeout", FLOAT_FMT.format(c.timeout)),
-        ("cosim.max_retries", str(c.max_retries)),
-        ("cosim.loss_rate", FLOAT_FMT.format(c.loss_rate)),
-    ]
+                    items.append((f"coupling.{name}[{r}][{c}]", _fmt(mat[r, c])))
+    items += _section_items("filter", cfg.filter)
+    items.append(("x_hat0", "truth" if cfg.x_hat0 is None else ",".join(map(str, cfg.x_hat0))))
+    items += _section_items("surrogate", cfg.surrogate)
+    items += _section_items("cosim", cfg.cosim)
     return items
 
 

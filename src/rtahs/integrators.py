@@ -20,28 +20,6 @@ class IntegrationError(RuntimeError):
     """Non-finite state or derivative encountered while stepping."""
 
 
-@dataclass(frozen=True)
-class MechState:
-    """Mechanical state (displacement, velocity, acceleration) at time t."""
-
-    x: np.ndarray
-    v: np.ndarray
-    acc: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        acc = np.atleast_1d(np.asarray(self.acc, dtype=float))
-        if not (x.shape == v.shape == acc.shape):
-            raise ValueError("x, v, acc must share one length")
-        if not (np.isfinite(x).all() and np.isfinite(v).all() and np.isfinite(acc).all()):
-            raise ValueError("MechState entries must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "acc", acc)
-
-
 @dataclass
 class TimeSeries:
     """Uniformly sampled named channels over a common time grid.
@@ -168,32 +146,6 @@ class NewmarkSolver:
         if not np.isfinite(x_new).all():
             raise IntegrationError("non-finite Newmark state")
         return x_new, v_new, acc_new
-
-
-def newmark_step(
-    s: MechState,
-    f_now: np.ndarray,
-    f_next: np.ndarray,
-    mats: StructuralMatrices,
-    dt: float,
-    gamma: float = 0.5,
-    beta: float = 0.25,
-) -> MechState:
-    """One Newmark-beta step of M x'' + C x' + K x = f.
-
-    Uses the end-of-step force ``f_next`` in the implicit update
-    (``f_now`` is accepted for interface symmetry with explicit
-    schemes).  For long fixed-step runs prefer :class:`NewmarkSolver`,
-    which hoists the constant factorization out of the loop.
-    """
-    solver = NewmarkSolver(mats, dt, gamma, beta)
-    try:
-        x_new, v_new, acc_new = solver.step_arrays(
-            s.x, s.v, s.acc, np.asarray(f_next, dtype=float)
-        )
-    except IntegrationError:
-        raise IntegrationError(f"non-finite Newmark state at t={s.t + dt}") from None
-    return MechState(x=x_new, v=v_new, acc=acc_new, t=s.t + dt)
 
 
 def rk4_step(

@@ -35,7 +35,7 @@ from rtahs.harness import (
     run_loop,
     run_oracle,
 )
-from rtahs.integrators import MechState, newmark_step, rk4_step
+from rtahs.integrators import NewmarkSolver, rk4_step
 from rtahs.metrics import compare_series
 from rtahs.wire import (
     BadFieldError,
@@ -172,7 +172,7 @@ def test_criterion_4_filter_property_suite():
         z = rng.normal(0.01, 1e-3, size=1)
         # the Kalman filter step: generic predict and update
         x_prior, P_prior, _ = predict(fk, u, model)
-        fk = update(x_prior, P_prior, z, model, fk.noise, fk.k + 1)
+        fk = update(FilterState(x_prior, P_prior, fk.noise, fk.k + 1), z, model)
         fe = ekf_step(fe, u, z, model)
         fa = aekf_step(fa, u, z, model, adapt_off)
     assert np.max(np.abs(fk.x - fe.x)) <= 1e-12
@@ -230,13 +230,14 @@ def test_criterion_6_integrator_suite():
         C=np.array([[0.0]]),
         K=np.array([[1.0]]),
     )
-    s = MechState(x=[1.0], v=[0.0], acc=[-1.0], t=0.0)
-    e0 = 0.5 * (s.v[0] ** 2 + s.x[0] ** 2)
+    x, v, acc = np.array([1.0]), np.array([0.0]), np.array([-1.0])
+    e0 = 0.5 * (v[0] ** 2 + x[0] ** 2)
     zero = np.zeros(1)
+    solver = NewmarkSolver(mats, 0.01)
     drift = 0.0
     for _ in range(10_000):
-        s = newmark_step(s, zero, zero, mats, 0.01)
-        e = 0.5 * (s.v[0] ** 2 + s.x[0] ** 2)
+        x, v, acc = solver.step_arrays(x, v, acc, zero)
+        e = 0.5 * (v[0] ** 2 + x[0] ** 2)
         drift = max(drift, abs(e - e0) / e0)
     assert drift <= 1e-6, f"energy drift {drift:.3g} > 1e-6"
 
@@ -255,11 +256,12 @@ def test_criterion_6_integrator_suite():
 
     m_i, xi, om = 182.178, 0.005, 17.64
     mats_d = assemble_matrices([ModalParams(DofId.HEAVE, m_i, xi, om)])
-    s = MechState(x=[0.01], v=[0.0], acc=[-(om**2) * 0.01], t=0.0)
+    x, v, acc = np.array([0.01]), np.array([0.0]), np.array([-(om**2) * 0.01])
+    solver = NewmarkSolver(mats_d, 1e-3)
     xs = [0.01]
     for _ in range(int(12 * 2 * math.pi / om / 1e-3)):
-        s = newmark_step(s, zero, zero, mats_d, 1e-3)
-        xs.append(s.x[0])
+        x, v, acc = solver.step_arrays(x, v, acc, zero)
+        xs.append(x[0])
     xs = np.array(xs)
     peaks = [
         xs[i]

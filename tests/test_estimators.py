@@ -33,15 +33,10 @@ CASE1 = ModalParams(DofId.HEAVE, inertia=182.178, damping_ratio=0.005, circ_freq
 
 
 def identity_model(n=2, m=1):
-    H = np.eye(m, n)
     return TransitionModel(
-        n_states=n,
-        n_obs=m,
         propagate=lambda x, u: x.copy(),
-        observe=lambda x: H @ x,
         jac_transition=lambda x, u: np.eye(n),
-        jac_observation=lambda x: H,
-        linear_observation=True,
+        H=np.eye(m, n),
     )
 
 
@@ -86,12 +81,9 @@ class TestPredict:
 
     def test_nonfinite_raises_with_step(self):
         model = TransitionModel(
-            n_states=1,
-            n_obs=1,
             propagate=lambda x, u: x * np.nan,
-            observe=lambda x: x,
             jac_transition=lambda x, u: np.eye(1),
-            jac_observation=lambda x: np.eye(1),
+            H=np.eye(1),
         )
         fs = make_state([1.0], np.eye(1))
         with pytest.raises(FilterNumericalError) as err:
@@ -104,7 +96,7 @@ class TestUpdate:
         # P=1, H=1, R=1: gain 1/2, posterior covariance 1/2.
         model = identity_model(n=1, m=1)
         noise = NoiseStats.diagonal(1, 1, q_var=0.0, r_var=1.0)
-        out = update(np.zeros(1), np.eye(1), np.array([1.0]), model, noise)
+        out = update(FilterState(np.zeros(1), np.eye(1), noise), np.array([1.0]), model)
         assert out.x[0] == pytest.approx(0.5, abs=1e-15)  # K * z = 0.5
         assert out.P[0, 0] == pytest.approx(0.5, abs=1e-15)
 
@@ -112,13 +104,13 @@ class TestUpdate:
         model = identity_model(n=2, m=1)
         noise = NoiseStats.diagonal(2, 1, q_var=0.0, r_var=1e12)
         x_prior = np.array([0.25, -0.5])
-        out = update(x_prior, np.eye(2), np.array([100.0]), model, noise)
+        out = update(FilterState(x_prior, np.eye(2), noise), np.array([100.0]), model)
         assert np.max(np.abs(out.x - x_prior)) / np.max(np.abs(x_prior)) <= 1e-6
 
     def test_floor_r_trusts_measurement(self):
         model = identity_model(n=2, m=1)
         noise = NoiseStats.diagonal(2, 1, q_var=0.0, r_var=PSD_FLOOR)
-        out = update(np.array([0.25, -0.5]), np.eye(2), np.array([3.0]), model, noise)
+        out = update(FilterState(np.array([0.25, -0.5]), np.eye(2), noise), np.array([3.0]), model)
         assert abs(out.x[0] - 3.0) / 3.0 <= 1e-6
 
     def test_singular_innovation_covariance_raises(self):
@@ -127,14 +119,14 @@ class TestUpdate:
             q=np.zeros(1), Q=np.zeros((1, 1)), r=np.zeros(1), R=np.zeros((1, 1))
         )
         with pytest.raises(FilterNumericalError):
-            update(np.zeros(1), np.zeros((1, 1)), np.array([1.0]), model, noise)
+            update(FilterState(np.zeros(1), np.zeros((1, 1)), noise), np.array([1.0]), model)
 
     def test_measurement_mean_subtracted(self):
         model = identity_model(n=1, m=1)
         noise = NoiseStats(
             q=np.zeros(1), Q=np.zeros((1, 1)), r=np.array([0.2]), R=np.eye(1) * PSD_FLOOR
         )
-        out = update(np.zeros(1), np.eye(1), np.array([1.2]), model, noise)
+        out = update(FilterState(np.zeros(1), np.eye(1), noise), np.array([1.2]), model)
         assert out.x[0] == pytest.approx(1.0, rel=1e-6)
 
     @settings(max_examples=100, deadline=None)
@@ -150,7 +142,7 @@ class TestUpdate:
         P = np.array([[p11, cov], [cov, p22]])
         model = identity_model(n=2, m=1)
         noise = NoiseStats.diagonal(2, 1, q_var=0.0, r_var=r)
-        out = update(np.zeros(2), P, np.array([1.0]), model, noise)
+        out = update(FilterState(np.zeros(2), P, noise), np.array([1.0]), model)
         gain = out.x[0]  # x_prior = 0, so posterior = K * z with z = 1
         assert -1e-12 <= gain <= 1.0 + 1e-12
 
@@ -161,7 +153,7 @@ class TestUpdate:
             A = rng.normal(size=(2, 2))
             P = A @ A.T + 1e-9 * np.eye(2)
             noise = NoiseStats.diagonal(2, 1, q_var=0.0, r_var=abs(rng.normal()))
-            out = update(rng.normal(size=2), P, rng.normal(size=1), model, noise)
+            out = update(FilterState(rng.normal(size=2), P, noise), rng.normal(size=1), model)
             assert np.linalg.eigvalsh(out.P)[0] >= PSD_FLOOR - 1e-15
 
 
@@ -208,7 +200,7 @@ class TestFilterSteps:
             z = rng.normal(0.01, 0.001, size=1)
             # the Kalman filter step: generic predict and update
             x_prior, P_prior, _ = predict(fk, u, model)
-            fk = update(x_prior, P_prior, z, model, fk.noise, fk.k + 1)
+            fk = update(FilterState(x_prior, P_prior, fk.noise, fk.k + 1), z, model)
             fe = ekf_step(fe, u, z, model)
         assert np.max(np.abs(fk.x - fe.x)) <= 1e-12
         assert np.max(np.abs(fk.P - fe.P)) <= 1e-12
@@ -297,7 +289,7 @@ class TestFilterSteps:
                 z = rng.normal(0.01, 1e-3, size=1)
                 f_fast = ekf_step(f_fast, u, z, model)
                 x_prior, P_prior, _ = predict(f_ref, u, model)
-                x_post, P_post, _, _, _ = _update_core(
+                x_post, P_post, _, _ = _update_core(
                     x_prior, P_prior, z, model, f_ref.noise
                 )
                 f_ref = FilterState(x=x_post, P=P_post, noise=f_ref.noise, k=f_ref.k + 1)

@@ -267,6 +267,18 @@ class TestConfigFiles:
                     },
                 }
             )
+        for bad in (
+            {"filter": 5},
+            {"coupling": 7},
+            {"structure": {"modal": [1]}},
+            {"structure": {"x0": {"heave": 3}}},
+            {"structure": {"x_hat0": 5}},
+            {"filter": {"adapt_enabled": "no"}},
+            {"cosim": {"max_retries": "abc"}},
+            {"filter": {"p0": "abc"}},
+        ):
+            with pytest.raises(ConfigFileError):
+                config_from_dict({"case": "case1-linear", **bad})
 
 
 class TestCouplingVariants:

@@ -10,11 +10,10 @@ from rtahs.cases import case_stepper, default_config, with_aero
 from rtahs.dynamics import DofId, ModalParams, assemble_matrices, build_state_space
 from rtahs.harness import run_oracle
 from rtahs.integrators import (
-    MechState,
+    NewmarkSolver,
     NewmarkStepper,
     Rk4Stepper,
     TimeSeries,
-    newmark_step,
     rk4_scalar_2nd,
     rk4_step,
     simulate,
@@ -30,24 +29,29 @@ def sdof_mats(m=1.0, c=0.0, k=1.0):
     )
 
 
+def newmark_run(mats, x, v, acc, dt, n_steps):
+    """Free response of ``n_steps`` Newmark steps; yields each state."""
+    solver = NewmarkSolver(mats, dt)
+    x, v, acc = np.array([x]), np.array([v]), np.array([acc])
+    zero = np.zeros(1)
+    for _ in range(n_steps):
+        x, v, acc = solver.step_arrays(x, v, acc, zero)
+        yield x[0], v[0]
+
+
 class TestNewmark:
     def test_zero_everything_stays_zero(self):
-        mats = sdof_mats()
-        s = MechState(x=[0.0], v=[0.0], acc=[0.0], t=0.0)
-        for _ in range(100):
-            s = newmark_step(s, np.zeros(1), np.zeros(1), mats, 0.01)
-        assert s.x[0] == 0.0 and s.v[0] == 0.0
+        for x, v in newmark_run(sdof_mats(), 0.0, 0.0, 0.0, 0.01, 100):
+            pass
+        assert x == 0.0 and v == 0.0
 
     def test_undamped_amplitude_conservation(self):
         # Average acceleration conserves the discrete energy, so the
         # energy amplitude sqrt(x^2 + v^2/omega^2) stays put.
         mats = sdof_mats(m=1.0, c=0.0, k=1.0)
-        s = MechState(x=[1.0], v=[0.0], acc=[-1.0], t=0.0)
         worst = 0.0
-        for _ in range(10_000):
-            s = newmark_step(s, np.zeros(1), np.zeros(1), mats, 0.01)
-            amp = math.hypot(s.x[0], s.v[0])
-            worst = max(worst, abs(amp - 1.0))
+        for x, v in newmark_run(mats, 1.0, 0.0, -1.0, 0.01, 10_000):
+            worst = max(worst, abs(math.hypot(x, v) - 1.0))
         assert worst <= 1e-6
 
     def test_damped_log_decrement(self):
@@ -58,14 +62,8 @@ class TestNewmark:
         mats = assemble_matrices([p])
         dt = 1e-3
         x0 = 0.01
-        s = MechState(
-            x=[x0], v=[0.0], acc=[-(om**2) * x0], t=0.0
-        )
-        xs = [x0]
         n_steps = int(12 * 2 * math.pi / om / dt)
-        for _ in range(n_steps):
-            s = newmark_step(s, np.zeros(1), np.zeros(1), mats, dt)
-            xs.append(s.x[0])
+        xs = [x0] + [x for x, _ in newmark_run(mats, x0, 0.0, -(om**2) * x0, dt, n_steps)]
         xs = np.array(xs)
         peaks = []
         for i in range(1, len(xs) - 1):
@@ -77,16 +75,12 @@ class TestNewmark:
         assert abs(delta - expected) / expected <= 0.01
 
     def test_stability_warning_outside_region(self):
-        mats = sdof_mats()
-        s = MechState(x=[1.0], v=[0.0], acc=[-1.0], t=0.0)
         with pytest.warns(UserWarning):
-            newmark_step(s, np.zeros(1), np.zeros(1), mats, 0.01, gamma=0.3, beta=0.2)
+            NewmarkSolver(sdof_mats(), 0.01, gamma=0.3, beta=0.2)
 
     def test_invalid_dt(self):
-        mats = sdof_mats()
-        s = MechState(x=[0.0], v=[0.0], acc=[0.0], t=0.0)
         with pytest.raises(ValueError):
-            newmark_step(s, np.zeros(1), np.zeros(1), mats, 0.0)
+            NewmarkSolver(sdof_mats(), 0.0)
 
 
 class TestRk4:
@@ -214,10 +208,3 @@ def test_timeseries_validation():
         TimeSeries(dt=0.1, t=np.array([0.0, 0.1, 0.15]), data={"x": np.zeros(3)})
     with pytest.raises(ValueError):
         TimeSeries(dt=0.1, t=np.array([0.0, 0.1, 0.05]), data={"x": np.zeros(3)})
-
-
-def test_mechstate_validation():
-    with pytest.raises(ValueError):
-        MechState(x=[0.0, 1.0], v=[0.0], acc=[0.0], t=0.0)
-    with pytest.raises(ValueError):
-        MechState(x=[np.nan], v=[0.0], acc=[0.0], t=0.0)
