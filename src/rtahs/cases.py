@@ -98,12 +98,29 @@ class SurrogateSettings:
     force_noise_std: float = 1e-4
     delay_tau: float = 0.0
 
+    def __post_init__(self):
+        for name in ("disp_noise_std", "force_noise_std", "delay_tau"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class CosimSettings:
+    """Lockstep transport: ``timeout`` caps the retransmission timeout
+    and ``(max_retries + 1) * timeout`` is the silence budget of one
+    exchange."""
+
     timeout: float = 0.1
     max_retries: int = 3
     loss_rate: float = 0.0
+
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 A config file selects a shipped case and overrides any subset of its
 fields; unknown keys, non-mapping sections and values of another type
 than the default's are rejected (an int may stand for a float, a bool
-never for a number).  The full schema (all values shown are the
+never for a number), and so are out-of-range values: ``cosim.timeout``
+must be positive, ``cosim.max_retries`` non-negative,
+``cosim.loss_rate`` in [0, 1) and the surrogate's noise scales and
+delay non-negative.  The full schema (all values shown are the
 ``case1-linear`` defaults):
 
 .. code-block:: yaml

@@ -9,6 +9,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from rtahs.aero import heave_jacobian
 from rtahs.cases import default_config, nonlinear_heave_deriv, with_aero
@@ -374,3 +375,30 @@ def test_criterion_7_protocol_suite():
         f"{len(rejections)} malformed classes rejected; 10% loss session "
         f"completed with {sstats.retries + pstats.retries} resends, trajectory unchanged"
     )
+
+
+@pytest.fixture(scope="module")
+def clean_criterion_7_session():
+    cfg = default_config("case1-linear", t_end=1.0)
+    series, _, _ = run_udp_pair(
+        lockstep_config(cfg), build_estimator_session(cfg), build_surrogate_session(cfg)
+    )
+    return series
+
+
+@pytest.mark.parametrize("seed", range(20, 40, 2))
+def test_criterion_7_loss_session_survives_other_seeds(seed, clean_criterion_7_session):
+    # Criterion 7's 10%-loss session on other loss seeds: the default
+    # 100 ms timeout and 3 retries give a 400 ms silence budget, inside
+    # which the surrogate resends at the estimated retransmission timeout.
+    cfg = default_config("case1-linear", t_end=1.0)
+    lossy, sstats, pstats = run_udp_pair(
+        lockstep_config(cfg),
+        build_estimator_session(cfg),
+        build_surrogate_session(cfg),
+        server_loss=LossInjector(0.1, seed=seed),
+        surrogate_loss=LossInjector(0.1, seed=seed + 1),
+    )
+    assert sstats.lost > 0 and pstats.lost > 0
+    for ch in clean_criterion_7_session.channels:
+        assert np.array_equal(lossy.channel(ch), clean_criterion_7_session.channel(ch)), ch

@@ -2,6 +2,9 @@
 sessions, and UDP/in-process equivalence."""
 
 import math
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,10 +13,15 @@ from numpy.testing import assert_allclose
 
 from rtahs.aero import linear_se_force
 from rtahs.cases import EchoGenerator, StaticGenerator, default_config
+from rtahs import cosim
 from rtahs.cosim import (
+    RTO_MIN,
     DelayLine,
+    LockstepEndpoint,
     LossInjector,
+    RetransmitTimer,
     SessionError,
+    SurrogateRunner,
     SurrogateSession,
     run_udp_pair,
 )
@@ -24,6 +32,7 @@ from rtahs.harness import (
     run_loop,
 )
 from rtahs.metrics import compare_series
+from rtahs.wire import Frame, MsgType, decode_frame, encode_frame
 
 
 class TestDelayLine:
@@ -283,15 +292,17 @@ class TestSessions:
 
     def test_surrogate_resend_exhaustion_reaches_the_caller(self):
         # Loss seed 153 lets the server's handshake reply through and drops
-        # its next four datagrams: the COMMAND for seq 1 and the three
-        # resends the surrogate's duplicates ask for.  The surrogate gives
-        # up first; its own error is what the caller sees, chained to the
-        # server's, with the server's partial series attached.
+        # its next 27 datagrams, among them the COMMAND for seq 1 and the
+        # three re-replies the surrogate's resends ask for within its 80 ms
+        # silence budget (one per timeout, as nothing was lost before).  The
+        # surrogate gives up first; its own error is what the caller
+        # sees, chained to the server's, with the server's partial series
+        # attached.
         cfg, est, sur = zero_session(n_samples=50)
         lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=3)
         with pytest.raises(SessionError) as err:
             run_udp_pair(lcfg, est, sur, server_loss=LossInjector(0.99, seed=153))
-        assert "no reply to MEASUREMENT seq 1 after 3 resends" in str(err.value)
+        assert "no reply to MEASUREMENT seq 1 within 80 ms (3 resends)" in str(err.value)
         assert isinstance(err.value.__cause__, SessionError)
         assert "peer went silent" in str(err.value.__cause__)
         assert len(err.value.partial_series) == 1
@@ -356,11 +367,227 @@ class TestSessions:
     def test_surrogate_timeout_raises_session_error(self):
         cfg, est, sur = zero_session()
         lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)
-        from rtahs.cosim import SurrogateRunner
+        budget = (lcfg.max_retries + 1) * lcfg.timeout
 
+        # Nothing answers the handshake: with no round-trip sample yet the
+        # retransmission timeout is the whole timeout, as it always was.
         runner = SurrogateRunner(lcfg, sur, ("127.0.0.1", 9))  # discard port
         with pytest.raises(SessionError):
             runner.run()
+        assert runner.stats.retries == lcfg.max_retries
+        assert runner.sock.fileno() == -1
+
+        # A peer that answers the handshake, answers the first measurement
+        # only when it is resent, and then goes silent: the second
+        # measurement is resent at the estimated timeout, more often than
+        # max_retries, and the error comes no earlier than the budget.
+        peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        peer.bind(("127.0.0.1", 0))
+        peer.settimeout(5.0)
+
+        def answer_then_fall_silent():
+            data, addr = peer.recvfrom(65535)
+            peer.sendto(data, addr)  # the handshake reply echoes the proposal
+            peer.recvfrom(65535)  # the first MEASUREMENT seq 1 goes unanswered
+            peer.recvfrom(65535)
+            cmd = Frame(
+                msg_type=MsgType.COMMAND, dof_count=1, seq=1, sim_time=0.0,
+                displacements=(0.0,),
+            )
+            peer.sendto(encode_frame(cmd), addr)
+
+        answering = threading.Thread(target=answer_then_fall_silent, daemon=True)
+        answering.start()
+        runner = SurrogateRunner(lcfg, zero_session()[2], peer.getsockname())
+        sends, send = [], runner.endpoint.send
+
+        def timed_send(frame):
+            sends.append((frame.msg_type, frame.seq, time.monotonic()))
+            send(frame)
+
+        runner.endpoint.send = timed_send
+        try:
+            with pytest.raises(SessionError) as err:
+                runner.run()
+            failed_at = time.monotonic()
+        finally:
+            answering.join(timeout=5.0)
+            peer.close()
+        measurements = [t for kind, seq, t in sends if (kind, seq) == (MsgType.MEASUREMENT, 2)]
+        assert "no reply to MEASUREMENT seq 2" in str(err.value)
+        assert failed_at - measurements[0] >= budget
+        assert len(measurements) - 1 > lcfg.max_retries
+        assert measurements[-1] - measurements[0] < budget
+
+    def test_surrogate_still_running_has_its_socket_closed(self, monkeypatch):
+        # The surrogate stalls on its last command until released, so the
+        # server finishes (the shutdown exchange is allowed to fail) and
+        # the join times out.
+        monkeypatch.setattr(cosim, "JOIN_TIMEOUT", 0.05)
+        runners = []
+
+        class RecordedRunner(SurrogateRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(self)
+
+        monkeypatch.setattr(cosim, "SurrogateRunner", RecordedRunner)
+        cfg, est, sur = zero_session(n_samples=5)
+        lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)
+        release, apply_command, commands = threading.Event(), sur.apply_command, []
+
+        def stall_on_last(displacements):
+            apply_command(displacements)
+            commands.append(None)
+            if len(commands) == lcfg.n_samples:
+                release.wait(timeout=10.0)
+
+        sur.apply_command = stall_on_last
+        try:
+            with pytest.raises(SessionError, match="still running") as err:
+                run_udp_pair(lcfg, est, sur)
+            assert runners[0].sock.fileno() == -1
+            assert len(err.value.partial_series) == lcfg.n_samples
+        finally:
+            release.set()
+        for thread in threading.enumerate():
+            if thread.name == "surrogate":
+                thread.join(timeout=5.0)
+
+
+class FakeLink:
+    """A socket and a clock for one endpoint: every frame sent is
+    answered by a COMMAND of the same seq ``rtt`` later, unless its send
+    index is in ``drop``.  A receive that times out advances the clock by
+    the timeout."""
+
+    PEER = ("127.0.0.1", 1)
+
+    def __init__(self, rtt: float, drop=()):
+        self.now = 0.0
+        self.rtt = rtt
+        self.drop = set(drop)
+        self.sends: list[float] = []
+        self.inbox: list[tuple[float, bytes]] = []
+        self.timeout = None
+        self.timeouts: list[float] = []
+
+    def clock(self) -> float:
+        return self.now
+
+    def settimeout(self, timeout: float) -> None:
+        self.timeout = timeout
+        self.timeouts.append(timeout)
+
+    def sendto(self, data: bytes, addr) -> None:
+        if len(self.sends) not in self.drop:
+            seq = decode_frame(data).seq
+            reply = Frame(
+                msg_type=MsgType.COMMAND, dof_count=1, seq=seq, sim_time=0.0,
+                displacements=(0.0,),
+            )
+            self.inbox.append((self.now + self.rtt, encode_frame(reply)))
+        self.sends.append(self.now)
+
+    def recvfrom(self, bufsize: int):
+        self.inbox.sort()
+        if not self.inbox or self.inbox[0][0] > self.now + self.timeout:
+            self.now += self.timeout
+            raise socket.timeout
+        arrival, data = self.inbox.pop(0)
+        self.now = max(self.now, arrival)
+        return data, self.PEER
+
+
+def measurement(seq: int) -> Frame:
+    return Frame(
+        msg_type=MsgType.MEASUREMENT, dof_count=1, seq=seq, sim_time=0.0,
+        forces=(0.0,), displacements=(0.0,),
+    )
+
+
+class TestRetransmitTimer:
+    def test_rfc6298_arithmetic(self):
+        timer = RetransmitTimer(1.0)
+        assert timer.srtt is None and timer.rto == 1.0
+        timer.sample(0.010)  # first sample: SRTT = R, RTTVAR = R / 2
+        assert timer.srtt == 0.010 and timer.rttvar == 0.005
+        assert timer.rto == pytest.approx(0.030)
+        timer.sample(0.002)  # RTTVAR from the old SRTT, then SRTT
+        assert timer.rttvar == pytest.approx(0.75 * 0.005 + 0.25 * 0.008)
+        assert timer.srtt == pytest.approx(0.875 * 0.010 + 0.125 * 0.002)
+        assert timer.rto == pytest.approx(timer.srtt + 4 * timer.rttvar)
+
+    def test_rto_is_clamped_to_the_floor_and_the_timeout(self):
+        fast, slow = RetransmitTimer(0.1), RetransmitTimer(0.1)
+        fast.sample(1e-4)
+        slow.sample(0.05)
+        assert fast.rto == RTO_MIN and slow.rto == 0.1
+
+    def endpoint(self, link: FakeLink, timeout=0.1, max_retries=3) -> LockstepEndpoint:
+        ep = LockstepEndpoint(link, link.PEER, timeout, max_retries)
+        ep.clock = link.clock
+        return ep
+
+    def test_first_exchange_waits_the_whole_timeout(self):
+        link = FakeLink(rtt=5e-4, drop={0})
+        ep = self.endpoint(link)
+        ep.request(measurement(1), MsgType.COMMAND, 1)
+        assert link.sends == [0.0, pytest.approx(0.1)]
+        assert ep.stats.retries == 1 and ep.timer.srtt is None  # Karn's rule
+
+    def test_link_without_loss_waits_the_whole_timeout(self):
+        link = FakeLink(rtt=5e-4, drop={1})
+        ep = self.endpoint(link)
+        ep.request(measurement(1), MsgType.COMMAND, 1)
+        assert ep.timer.rto == RTO_MIN and not ep.lossy
+        start = link.now
+        ep.request(measurement(2), MsgType.COMMAND, 2)
+        assert link.sends[2] - start == pytest.approx(0.1)
+        assert ep.lossy
+
+    def lossy_endpoint(self, link: FakeLink, **kwargs) -> LockstepEndpoint:
+        """An endpoint whose first exchange lost its first frame and whose
+        second, clean one gave a round-trip sample."""
+        link.drop.add(0)
+        ep = self.endpoint(link, **kwargs)
+        ep.request(measurement(1), MsgType.COMMAND, 1)
+        ep.request(measurement(2), MsgType.COMMAND, 2)
+        assert ep.lossy and ep.timer.srtt == pytest.approx(link.rtt)
+        return ep
+
+    def test_karn_rule_and_resend_at_the_estimate(self):
+        link = FakeLink(rtt=6e-4, drop={3})
+        ep = self.lossy_endpoint(link)
+        assert ep.timer.rto == RTO_MIN
+        start, waits = link.now, len(link.timeouts)
+        ep.request(measurement(3), MsgType.COMMAND, 3)  # resent: no sample
+        # exactly the estimate: the socket rounds its wait up to whole ms
+        assert link.timeouts[waits] == RTO_MIN
+        assert link.sends[4] - start == pytest.approx(RTO_MIN)
+        assert ep.timer.srtt == pytest.approx(6e-4) and ep.stats.retries == 2
+        link.rtt = 1e-3
+        ep.request(measurement(4), MsgType.COMMAND, 4)  # clean again
+        assert ep.timer.srtt == pytest.approx(0.875 * 6e-4 + 0.125 * 1e-3)
+
+    def test_backoff_doubles_to_the_timeout_until_the_budget_is_spent(self):
+        link = FakeLink(rtt=5e-4, drop=set(range(3, 100)))
+        ep = self.lossy_endpoint(link, timeout=0.1, max_retries=3)
+        start = link.now
+        with pytest.raises(SessionError, match=r"within 400 ms \(8 resends\)"):
+            ep.request(measurement(3), MsgType.COMMAND, 3)
+        gaps = np.diff(link.sends[3:])
+        assert gaps == pytest.approx([0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.1, 0.1])
+        assert link.now - start == pytest.approx(0.4)
+
+    def test_next_exchange_starts_again_from_the_estimate(self):
+        link = FakeLink(rtt=5e-4, drop={3, 4, 5})
+        ep = self.lossy_endpoint(link)
+        ep.request(measurement(3), MsgType.COMMAND, 3)  # resent three times
+        start = link.now
+        link.drop = {7}
+        ep.request(measurement(4), MsgType.COMMAND, 4)
+        assert link.sends[8] - start == pytest.approx(RTO_MIN)
 
 
 class TestDelayedLoop:

@@ -276,6 +276,14 @@ class TestConfigFiles:
             {"filter": {"adapt_enabled": "no"}},
             {"cosim": {"max_retries": "abc"}},
             {"filter": {"p0": "abc"}},
+            {"cosim": {"timeout": 0}},
+            {"cosim": {"timeout": -0.1}},
+            {"cosim": {"max_retries": -1}},
+            {"cosim": {"loss_rate": 1.0}},
+            {"cosim": {"loss_rate": -0.1}},
+            {"surrogate": {"disp_noise_std": -1.0}},
+            {"surrogate": {"force_noise_std": -1e-4}},
+            {"surrogate": {"delay_tau": -0.01}},
         ):
             with pytest.raises(ConfigFileError):
                 config_from_dict({"case": "case1-linear", **bad})
