@@ -12,7 +12,6 @@ from .aero import (
     CoupledSeMatrices,
     amplitude_dep_damping,
     amplitude_dep_frequency,
-    coupled_se_force,
     instantaneous_amplitude,
     linear_se_force,
     nonlinear_vortex_force,

@@ -210,17 +210,3 @@ class CoupledSeMatrices:
         object.__setattr__(self, "E_d", E_d)
         object.__setattr__(self, "E_s", E_s)
 
-
-def coupled_se_force(
-    h: float,
-    h_dot: float,
-    alpha: float,
-    alpha_dot: float,
-    m: CoupledSeMatrices,
-) -> tuple[float, float]:
-    """Self-excited lift (N/m) and moment (N*m/m) of the coupled surrogate:
-    [L, M] = E_d [h_dot, alpha_dot] + E_s [h, alpha]."""
-    vel = np.array([h_dot, alpha_dot])
-    disp = np.array([h, alpha])
-    out = m.E_d @ vel + m.E_s @ disp
-    return float(out[0]), float(out[1])

@@ -31,7 +31,6 @@ import numpy as np
 from .aero import (
     AeroParams,
     CoupledSeMatrices,
-    coupled_se_force,
     heave_acceleration,
     heave_jacobian,
     linear_se_force,
@@ -45,6 +44,7 @@ from .dynamics import (
     build_state_space,
 )
 from .estimators import (
+    DEFAULT_FORGETTING_FACTOR,
     AdaptiveConfig,
     FilterState,
     NoiseStats,
@@ -52,7 +52,14 @@ from .estimators import (
     linear_transition_model,
     numeric_jacobian,
 )
-from .integrators import NewmarkStepper, Rk4Stepper, ScalarRk4Stepper, Stepper
+from .integrators import (
+    LinearStepper,
+    NewmarkSolver,
+    ScalarRk4Stepper,
+    Stepper,
+    rk4_step,
+    sample_count,
+)
 
 CASE_IDS = ("case1-linear", "case1-nonlinear", "case2dof")
 
@@ -83,7 +90,7 @@ class FilterSettings:
     meas_var: float = 1e-8
     process_mean: float = 0.0
     meas_mean: float = 0.0
-    forgetting_factor: float = 0.96
+    forgetting_factor: float = DEFAULT_FORGETTING_FACTOR
     adapt_enabled: bool = True
     q_update_form: str = "linearized"
     jacobian: str = "analytic"  # or "numeric"
@@ -169,7 +176,7 @@ class CaseConfig:
 
     @property
     def n_samples(self) -> int:
-        return int(math.floor(self.t_end / self.dt + 1e-9)) + 1
+        return sample_count(self.t_end, self.dt)
 
 
 def _case1_modal() -> tuple[ModalParams, ...]:
@@ -297,31 +304,35 @@ class StaticGenerator:
 
 
 # ---------------------------------------------------------------------------
-# Case wiring: force closures, the case stepper, generators, filter models
+# Case wiring: the linear systems, the case stepper, generators
 # ---------------------------------------------------------------------------
 
 
-def _case1_linear_force(cfg: CaseConfig) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
-    aero, span = cfg.aero, cfg.span
-
-    def force(t, x, v):
-        return np.array([span * linear_se_force(x[0], v[0], aero)])
-
-    return force
-
-
-def _case1_linear_folded(cfg: CaseConfig) -> StructuralMatrices:
-    """Effective matrices with the state-proportional aero force moved
-    into damping and stiffness (exact for the linear model)."""
+def _linear_system(cfg: CaseConfig) -> tuple[StructuralMatrices, np.ndarray, np.ndarray]:
+    """Structural matrices of a linear case and the matrices (E_d, E_s)
+    of its self-excited force ``E_d v + E_s x``: the one home of that
+    force for the truth, the oracle and the echo surrogate."""
     mats = assemble_matrices(cfg.modal)
-    q2d = cfg.aero.dyn_pressure_2d
-    c_aero = cfg.span * q2d * cfg.aero.Y1 / cfg.aero.U
-    k_aero = cfg.span * q2d * cfg.aero.Y2 / cfg.aero.U
-    return StructuralMatrices(
-        dofs=mats.dofs,
-        M=mats.M,
-        C=mats.C - np.array([[c_aero]]),
-        K=mats.K - np.array([[k_aero]]),
+    if cfg.case == "case1-linear":
+        a, span = cfg.aero, cfg.span
+        E_d = np.array([[span * linear_se_force(0.0, 1.0, a)]])
+        E_s = np.array([[span * linear_se_force(1.0, 0.0, a)]])
+        return mats, E_d, E_s
+    if cfg.case == "case2dof":
+        if cfg.coupling is None:
+            raise ValueError("case2dof requires coupling matrices")
+        return mats, cfg.coupling.E_d, cfg.coupling.E_s
+    raise ValueError(f"case {cfg.case!r} is not linear")
+
+
+def linear_state_matrix(cfg: CaseConfig) -> np.ndarray:
+    """Continuous state matrix of a linear case on y = [x; v]:
+    [[0, I], [M^-1 (E_s - K), M^-1 (E_d - C)]]."""
+    mats, E_d, E_s = _linear_system(cfg)
+    n = mats.n
+    M_inv = np.linalg.inv(mats.M)
+    return np.block(
+        [[np.zeros((n, n)), np.eye(n)], [M_inv @ (E_s - mats.K), M_inv @ (E_d - mats.C)]]
     )
 
 
@@ -338,48 +349,30 @@ def _case1_nonlinear_scalar(cfg: CaseConfig):
     return acc_s, force_s
 
 
-def _case2dof_force(cfg: CaseConfig):
-    coup = cfg.coupling
-
-    def force(t, x, v):
-        L, M = coupled_se_force(x[0], v[0], x[1], v[1], coup)
-        return np.array([L, M])
-
-    return force
-
-
-def _case2dof_acc(cfg: CaseConfig):
-    mats = assemble_matrices(cfg.modal)
-    coup = cfg.coupling
-    M_inv = np.linalg.inv(mats.M)
-    # acc = M^-1 [(E_d - C) v + (E_s - K) x]
-    Gv = M_inv @ (coup.E_d - mats.C)
-    Gx = M_inv @ (coup.E_s - mats.K)
-
-    def acc(t, x, v):
-        return Gv @ v + Gx @ x
-
-    return acc
-
-
 def case_stepper(cfg: CaseConfig) -> Stepper:
-    """The one integrator of a case's dynamics at its initial state:
-    Newmark on the folded matrices for the linear case, scalar RK4 for
-    the nonlinear one, vector RK4 for the coupled one.  The oracle
-    samples it and the surrogate truth steps it, so the two trace one
-    trajectory."""
+    """The one integrator of a case's dynamics at its initial state, which
+    the oracle samples and the surrogate truth steps.  The nonlinear case
+    runs scalar RK4.  A linear case is one matrix step: one step of its
+    method applied to the identity columns of [x; v], Newmark on the
+    folded matrices (M, C - E_d, K - E_s) for case1-linear and RK4 on
+    :func:`linear_state_matrix` for case2dof."""
     x0 = np.asarray(cfg.x0_disp, float)
     v0 = np.asarray(cfg.x0_vel, float)
-    if cfg.case == "case1-linear":
-        return NewmarkStepper(_case1_linear_folded(cfg), _case1_linear_force(cfg), cfg.dt, x0, v0)
     if cfg.case == "case1-nonlinear":
         acc_s, force_s = _case1_nonlinear_scalar(cfg)
         return ScalarRk4Stepper(acc_s, force_s, cfg.dt, x0, v0)
-    if cfg.case == "case2dof":
-        if cfg.coupling is None:
-            raise ValueError("case2dof requires coupling matrices")
-        return Rk4Stepper(_case2dof_acc(cfg), _case2dof_force(cfg), cfg.dt, x0, v0)
-    raise ValueError(f"unknown case {cfg.case!r}")
+    mats, E_d, E_s = _linear_system(cfg)
+    n = mats.n
+    identity = np.eye(2 * n)
+    if cfg.case == "case1-linear":
+        solver = NewmarkSolver(replace(mats, C=mats.C - E_d, K=mats.K - E_s), cfg.dt)
+        x, v, zero = identity[:n], identity[n:], np.zeros((n, 1))
+        acc = solver.initial_acceleration(x, v, zero)
+        T = np.vstack(solver.step_arrays(x, v, acc, zero)[:2])
+    else:
+        A = linear_state_matrix(cfg)
+        T = rk4_step(lambda t, y: A @ y, identity, 0.0, cfg.dt)
+    return LinearStepper(T, np.hstack((E_s, E_d)), cfg.dt, x0, v0)
 
 
 def truth_generator(cfg: CaseConfig):

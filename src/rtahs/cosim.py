@@ -32,7 +32,7 @@ from .estimators import (
     ekf_step,
     update,
 )
-from .integrators import TimeSeries
+from .integrators import TimeSeries, sample_count
 from .wire import (
     ESTIMATOR_IDS,
     Frame,
@@ -42,9 +42,6 @@ from .wire import (
     decode_frame,
     encode_frame,
 )
-
-DEFAULT_TIMEOUT = 0.1
-DEFAULT_RETRIES = 3
 
 # Floor of the retransmission timeout: one lockstep step (dt = 1 ms) is
 # too close to the round trip.  On the 1%-loss case1-linear UDP loop
@@ -146,12 +143,12 @@ class LockstepConfig:
     t_end: float
     dofs: tuple[DofId, ...]
     estimator: str
-    timeout: float = DEFAULT_TIMEOUT
-    max_retries: int = DEFAULT_RETRIES
+    timeout: float
+    max_retries: int
 
     @property
     def n_samples(self) -> int:
-        return int(np.floor(self.t_end / self.dt + 1e-9)) + 1
+        return sample_count(self.t_end, self.dt)
 
     @property
     def dof_mask(self) -> int:
@@ -178,7 +175,8 @@ class RetransmitTimer:
     1988, RFC 6298).
 
     ``rto`` is ``ceiling`` until the first sample, then
-    ``srtt + 4 * rttvar`` clamped to ``[RTO_MIN, ceiling]``.
+    ``srtt + 4 * rttvar`` clamped to ``[RTO_MIN, ceiling]``.  An expired
+    wait backs it off until the next sample (RFC 6298 sections 5.5-5.7).
     """
 
     def __init__(self, ceiling: float):
@@ -258,15 +256,16 @@ class LockstepEndpoint:
         """Send ``outbound`` and wait for the matching reply.
 
         The frame is resent each time the wait expires, and each expiry
-        doubles the exchange's wait up to ``timeout``.  The first wait is
-        the retransmission timeout once a wait of this endpoint has
-        expired, and the whole ``timeout`` on a link that has not lost a
-        frame: arming a 2 ms kernel timer on every exchange slowed the
-        clean UDP step by about 9% on a 2-vCPU VM, and such a link has
-        nothing to recover.  The request fails only when no reply has
-        come within ``(max_retries + 1) * timeout`` of the first send.  A
-        reply to a frame that was never resent is a round-trip sample
-        (Karn's rule)."""
+        doubles the wait up to ``timeout`` and keeps it as the
+        retransmission timeout.  The first wait is the retransmission
+        timeout once a wait of this endpoint has expired, and the whole
+        ``timeout`` on a link that has not lost a frame: arming a 2 ms
+        kernel timer on every exchange slowed the clean UDP step by about
+        9% on a 2-vCPU VM, and such a link has nothing to recover.  The
+        request fails only when no reply has come within
+        ``(max_retries + 1) * timeout`` of the first send.  A reply to a
+        frame that was never resent is a round-trip sample (Karn's rule),
+        and only a sample undoes the backoff."""
         clock = self.clock
         self.send(outbound)
         start = clock()
@@ -288,7 +287,7 @@ class LockstepEndpoint:
                         last_good_step=want_seq - 2,
                     )
                 self.lossy = True
-                wait = min(2 * wait, self.timeout)
+                self.timer.rto = wait = min(2 * wait, self.timeout)
                 expiry = min(clock() + wait, deadline)
                 resends += 1
                 self.stats.retries += 1

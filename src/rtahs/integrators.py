@@ -1,7 +1,7 @@
-"""Oracle time integrators: Newmark-beta for linear structural systems and
-classical fixed-step RK4 for general (possibly nonlinear) second-order
-dynamics, plus the ``simulate`` driver producing uniformly sampled time
-series.
+"""Oracle time integrators: the Newmark-beta and classical fixed-step RK4
+kernels, the steppers built on them (one precomputed matrix step for
+linear time-invariant cases, scalar RK4 for the nonlinear one), and the
+``simulate`` driver producing uniformly sampled time series.
 """
 
 from __future__ import annotations
@@ -101,12 +101,6 @@ class NewmarkSolver:
         self.a7 = gamma * dt
         k_eff = mats.K + self.a0 * mats.M + self.a1 * mats.C
         self.k_eff_inv = np.linalg.inv(k_eff)
-        # Single-DOF systems step in scalar arithmetic.
-        self._scalar = mats.M.shape == (1, 1)
-        if self._scalar:
-            self._m = float(mats.M[0, 0])
-            self._c = float(mats.C[0, 0])
-            self._ki = float(self.k_eff_inv[0, 0])
 
     def initial_acceleration(
         self, x: np.ndarray, v: np.ndarray, f: np.ndarray
@@ -121,19 +115,6 @@ class NewmarkSolver:
         acc: np.ndarray,
         f_next: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._scalar:
-            x0, v0, acc0 = x[0], v[0], acc[0]
-            f_eff = (
-                f_next[0]
-                + self._m * (self.a0 * x0 + self.a2 * v0 + self.a3 * acc0)
-                + self._c * (self.a1 * x0 + self.a4 * v0 + self.a5 * acc0)
-            )
-            x_new = self._ki * f_eff
-            acc_new = self.a0 * (x_new - x0) - self.a2 * v0 - self.a3 * acc0
-            v_new = v0 + self.a6 * acc0 + self.a7 * acc_new
-            if not math.isfinite(x_new):
-                raise IntegrationError("non-finite Newmark state")
-            return np.array([x_new]), np.array([v_new]), np.array([acc_new])
         m = self.mats
         f_eff = (
             f_next
@@ -201,20 +182,18 @@ class Stepper:
     """Fixed-step integrator of one case's governing equations.
 
     Holds the state (``x``, ``v``) and the step count ``k``;
-    :meth:`advance` moves one ``dt`` and :meth:`force` is the applied
-    force ``force(t, x, v)`` at the current state.  The clock is the step
-    count: step k starts at ``k * dt`` and its end state is stamped
-    ``k * dt + dt``.  The oracle samples a stepper with :func:`simulate`;
-    the surrogate session reads it as its truth through :meth:`outputs`.
-    Subclasses supply ``_step(t)``, whose kernel raises
-    :class:`IntegrationError` on a non-finite state and then leaves the
-    state and the count untouched.
+    :meth:`advance` moves one ``dt``.  The clock is the step count: step
+    k starts at ``k * dt`` and its end state is stamped ``k * dt + dt``.
+    The oracle samples a stepper with :func:`simulate`; the surrogate
+    session reads it as its truth through :meth:`outputs`.  Subclasses
+    supply ``_step(t)``, which raises :class:`IntegrationError` on a
+    non-finite state and leaves the state untouched, and the applied
+    force: ``force()`` now and ``force_at(t, x, v)`` for any motion.
     """
 
-    def __init__(self, force, dt: float, x0, v0):
+    def __init__(self, dt: float, x0, v0):
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        self._force = force
         self.dt = dt
         self.k = 0
         self.t = 0.0
@@ -226,13 +205,6 @@ class Stepper:
         self._step(t)
         self.k += 1
         self.t = t + self.dt
-
-    def force(self):
-        return self._force(self.t, self.x, self.v)
-
-    def force_at(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Applied force for an arbitrary motion (drives the echo surrogate)."""
-        return self._force(t, x, v)
 
     def peak(self) -> float:
         """Largest displacement magnitude of the current state."""
@@ -251,34 +223,29 @@ class Stepper:
         own dynamics."""
 
 
-class NewmarkStepper(Stepper):
-    """Newmark-beta on matrices into which any state-proportional force
-    has been folded, so the implicit step never iterates on the force."""
+class LinearStepper(Stepper):
+    """Linear time-invariant dynamics as one precomputed step ``y <- T y``
+    of the stacked state ``y = [x; v]``, with the applied force ``F y``.
+    ``x`` and ``v`` are views of ``y``."""
 
-    def __init__(self, mats: StructuralMatrices, force, dt: float, x0, v0):
-        super().__init__(force, dt, x0, v0)
-        self.solver = NewmarkSolver(mats, dt)
-        self._zero = np.zeros(len(self.x))
-        self.acc = self.solver.initial_acceleration(self.x, self.v, self._zero)
-
-    def _step(self, t: float) -> None:
-        self.x, self.v, self.acc = self.solver.step_arrays(self.x, self.v, self.acc, self._zero)
-
-
-class Rk4Stepper(Stepper):
-    """Multi-DOF RK4 of x'' = acc(t, x, v) on the stacked state [x, v]."""
-
-    def __init__(self, acc, force, dt: float, x0, v0):
-        super().__init__(force, dt, x0, v0)
-        self._acc = acc
-        self.n = len(self.x)
-
-    def _deriv(self, t: float, y: np.ndarray) -> np.ndarray:
-        return np.concatenate((y[self.n :], self._acc(t, y[: self.n], y[self.n :])))
+    def __init__(self, T, F, dt: float, x0, v0):
+        super().__init__(dt, x0, v0)
+        n = len(self.x)
+        self.T, self.F = np.asarray(T, float), np.asarray(F, float)
+        self.y = np.concatenate((self.x, self.v))
+        self.x, self.v = self.y[:n], self.y[n:]
 
     def _step(self, t: float) -> None:
-        y = rk4_step(self._deriv, np.concatenate([self.x, self.v]), t, self.dt)
-        self.x, self.v = y[: self.n], y[self.n :]
+        y = self.T @ self.y
+        if not np.isfinite(y).all():
+            raise IntegrationError(f"non-finite state at t={t}")
+        self.y[:] = y
+
+    def force(self) -> np.ndarray:
+        return self.F @ self.y
+
+    def force_at(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.F @ np.concatenate((x, v))
 
 
 class ScalarRk4Stepper(Stepper):
@@ -286,8 +253,8 @@ class ScalarRk4Stepper(Stepper):
     ``force(t, h, v)``; ``x``, ``v`` and the force are floats."""
 
     def __init__(self, acc, force, dt: float, x0, v0):
-        super().__init__(force, dt, x0, v0)
-        self._acc = acc
+        super().__init__(dt, x0, v0)
+        self._acc, self._force = acc, force
         self.x = float(self.x[0])
         self.v = float(self.v[0])
 
@@ -307,6 +274,11 @@ class ScalarRk4Stepper(Stepper):
         return np.array([self._force(self.t, self.x, self.v)]), np.array([self.x])
 
 
+def sample_count(t_end: float, dt: float) -> int:
+    """Samples of the grid 0, dt, ..., t_end: floor(t_end/dt) + 1."""
+    return int(math.floor(t_end / dt + 1e-9)) + 1
+
+
 def simulate(
     stepper: Stepper,
     labels: tuple[str, ...],
@@ -315,7 +287,7 @@ def simulate(
 ) -> TimeSeries:
     """Sample a fresh stepper on its fixed grid from t = 0.
 
-    Produces floor(t_end/dt)+1 samples with channels ``x_<dof>``,
+    Produces :func:`sample_count` samples with channels ``x_<dof>``,
     ``xdot_<dof>`` and the applied force ``f_<dof>`` per DOF.  Divergent
     runs are truncated and the truncation step is flagged on the
     returned series: a step whose state turns non-finite holds the last
@@ -325,7 +297,7 @@ def simulate(
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     dt = stepper.dt
-    n_samp = int(np.floor(t_end / dt + 1e-9)) + 1
+    n_samp = sample_count(t_end, dt)
     xs = np.zeros((n_samp, len(labels)))
     vs = np.zeros((n_samp, len(labels)))
     fs = np.zeros((n_samp, len(labels)))

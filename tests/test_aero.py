@@ -11,7 +11,6 @@ from rtahs.aero import (
     CoupledSeMatrices,
     amplitude_dep_damping,
     amplitude_dep_frequency,
-    coupled_se_force,
     instantaneous_amplitude,
     linear_se_force,
     nonlinear_vortex_force,
@@ -191,35 +190,11 @@ class TestAmplitudeDepFrequency:
 
 
 class TestCoupledSeForce:
-    def test_zero_state(self):
-        m = CoupledSeMatrices(E_d=np.eye(2), E_s=np.eye(2))
-        assert coupled_se_force(0, 0, 0, 0, m) == (0.0, 0.0)
-
-    def test_zero_matrices(self):
-        m = CoupledSeMatrices(E_d=np.zeros((2, 2)), E_s=np.zeros((2, 2)))
-        assert coupled_se_force(0.1, -2.0, 0.05, 3.0, m) == (0.0, 0.0)
-
-    def test_identity_damping_matrix(self):
-        m = CoupledSeMatrices(E_d=np.eye(2), E_s=np.zeros((2, 2)))
-        assert coupled_se_force(0.0, 2.0, 0.0, 3.0, m) == (2.0, 3.0)
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             CoupledSeMatrices(E_d=np.eye(3), E_s=np.eye(2))
         with pytest.raises(ValueError):
             CoupledSeMatrices(E_d=np.full((2, 2), np.inf), E_s=np.eye(2))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
-    def test_linearity_in_state(self, h, hd, al, ad):
-        m = CoupledSeMatrices(
-            E_d=np.array([[-0.5, 0.8], [0.05, 0.08]]),
-            E_s=np.array([[0.0, 2.5], [0.25, 6.0]]),
-        )
-        L1, M1 = coupled_se_force(h, hd, al, ad, m)
-        L2, M2 = coupled_se_force(2 * h, 2 * hd, 2 * al, 2 * ad, m)
-        assert L2 == pytest.approx(2 * L1, rel=1e-12, abs=1e-12)
-        assert M2 == pytest.approx(2 * M1, rel=1e-12, abs=1e-12)
 
 
 def test_aero_params_validation():

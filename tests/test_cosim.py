@@ -378,7 +378,8 @@ class TestSessions:
         assert runner.sock.fileno() == -1
 
         # A peer that answers the handshake, answers the first measurement
-        # only when it is resent, and then goes silent: the second
+        # only when it is resent, answers the second at once (a round-trip
+        # sample, which undoes the backoff) and then goes silent: the third
         # measurement is resent at the estimated timeout, more often than
         # max_retries, and the error comes no earlier than the budget.
         peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -389,12 +390,13 @@ class TestSessions:
             data, addr = peer.recvfrom(65535)
             peer.sendto(data, addr)  # the handshake reply echoes the proposal
             peer.recvfrom(65535)  # the first MEASUREMENT seq 1 goes unanswered
-            peer.recvfrom(65535)
-            cmd = Frame(
-                msg_type=MsgType.COMMAND, dof_count=1, seq=1, sim_time=0.0,
-                displacements=(0.0,),
-            )
-            peer.sendto(encode_frame(cmd), addr)
+            for seq in (1, 2):
+                peer.recvfrom(65535)
+                cmd = Frame(
+                    msg_type=MsgType.COMMAND, dof_count=1, seq=seq, sim_time=0.0,
+                    displacements=(0.0,),
+                )
+                peer.sendto(encode_frame(cmd), addr)
 
         answering = threading.Thread(target=answer_then_fall_silent, daemon=True)
         answering.start()
@@ -413,8 +415,8 @@ class TestSessions:
         finally:
             answering.join(timeout=5.0)
             peer.close()
-        measurements = [t for kind, seq, t in sends if (kind, seq) == (MsgType.MEASUREMENT, 2)]
-        assert "no reply to MEASUREMENT seq 2" in str(err.value)
+        measurements = [t for kind, seq, t in sends if (kind, seq) == (MsgType.MEASUREMENT, 3)]
+        assert "no reply to MEASUREMENT seq 3" in str(err.value)
         assert failed_at - measurements[0] >= budget
         assert len(measurements) - 1 > lcfg.max_retries
         assert measurements[-1] - measurements[0] < budget
@@ -580,14 +582,28 @@ class TestRetransmitTimer:
         assert gaps == pytest.approx([0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.1, 0.1])
         assert link.now - start == pytest.approx(0.4)
 
-    def test_next_exchange_starts_again_from_the_estimate(self):
+    def test_next_exchange_keeps_the_backed_off_timeout(self):
         link = FakeLink(rtt=5e-4, drop={3, 4, 5})
         ep = self.lossy_endpoint(link)
-        ep.request(measurement(3), MsgType.COMMAND, 3)  # resent three times
+        ep.request(measurement(3), MsgType.COMMAND, 3)  # waits 2, 4 and 8 ms
+        assert ep.timer.rto == pytest.approx(0.016)
         start = link.now
         link.drop = {7}
         ep.request(measurement(4), MsgType.COMMAND, 4)
-        assert link.sends[8] - start == pytest.approx(RTO_MIN)
+        assert link.sends[8] - start == pytest.approx(0.016)
+
+    def test_round_trip_above_the_floor_is_resent_early_only_once(self):
+        # RFC 6298 5.5-5.7: the backed-off timeout holds until a reply to
+        # a frame that was not resent gives a sample.  Starting each
+        # exchange again from the 2 ms estimate would resend every one.
+        link = FakeLink(rtt=5e-4)
+        ep = self.lossy_endpoint(link)
+        assert ep.timer.rto == RTO_MIN
+        link.rtt = 3e-3
+        for seq in range(3, 13):
+            ep.request(measurement(seq), MsgType.COMMAND, seq)
+        assert ep.stats.retries == 2  # the lost first frame, then seq 3 once
+        assert ep.timer.rto > 3e-3
 
 
 class TestDelayedLoop:

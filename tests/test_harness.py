@@ -290,30 +290,16 @@ class TestConfigFiles:
 
 
 class TestCouplingVariants:
-    @staticmethod
-    def _closed_loop_matrix(cfg):
-        from rtahs.cases import _case2dof_acc
-
-        acc = _case2dof_acc(cfg)
-        A = np.zeros((4, 4))
-        A[:2, 2:] = np.eye(2)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = 1.0
-            A[2:, j] = acc(0.0, e, np.zeros(2))
-            A[2:, 2 + j] = acc(0.0, np.zeros(2), e)
-        return A
-
     def test_frozen_matrices_give_one_stable_one_unstable_system(self):
         # The documented pre-study property of the shipped coupling
         # matrices: all closed-loop eigenvalues decay for the convergent
         # variant, the torsional branch grows for the divergent one.
-        from rtahs.cases import COUPLING_CONVERGENT, COUPLING_DIVERGENT
+        from rtahs.cases import COUPLING_CONVERGENT, COUPLING_DIVERGENT, linear_state_matrix
 
         conv = default_config("case2dof", coupling=COUPLING_CONVERGENT)
         div = default_config("case2dof", coupling=COUPLING_DIVERGENT)
-        eig_conv = np.linalg.eigvals(self._closed_loop_matrix(conv))
-        eig_div = np.linalg.eigvals(self._closed_loop_matrix(div))
+        eig_conv = np.linalg.eigvals(linear_state_matrix(conv))
+        eig_div = np.linalg.eigvals(linear_state_matrix(div))
         assert np.max(eig_conv.real) < -0.01
         assert np.max(eig_div.real) > 0.01
 

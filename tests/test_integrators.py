@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
-from rtahs.cases import case_stepper, default_config, with_aero
+from rtahs.cases import case_stepper, default_config, linear_state_matrix, with_aero
 from rtahs.dynamics import DofId, ModalParams, assemble_matrices, build_state_space
 from rtahs.harness import run_oracle
 from rtahs.integrators import (
+    LinearStepper,
     NewmarkSolver,
-    NewmarkStepper,
-    Rk4Stepper,
     TimeSeries,
     rk4_scalar_2nd,
     rk4_step,
@@ -136,14 +136,17 @@ class TestRk4:
             rk4_step(lambda t, y: y * np.inf, np.array([1.0]), 0.0, 0.1)
 
 
-def zero_force(t, x, v):
-    return np.zeros(1)
+def oscillator(dt):
+    """Undamped unit oscillator at rest as a one-RK4-step matrix, with
+    no force."""
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    T = rk4_step(lambda t, y: A @ y, np.eye(2), 0.0, dt)
+    return LinearStepper(T, np.zeros((1, 2)), dt, [0.0], [0.0])
 
 
 class TestSimulate:
     def test_zero_force_zero_init(self):
-        stepper = NewmarkStepper(sdof_mats(), zero_force, 0.01, [0.0], [0.0])
-        out = simulate(stepper, ("heave",), t_end=1.0)
+        out = simulate(oscillator(0.01), ("heave",), t_end=1.0)
         assert len(out) == 101
         assert np.all(out.channel("x_heave") == 0.0)
         assert np.all(out.channel("f_heave") == 0.0)
@@ -173,13 +176,8 @@ class TestSimulate:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_state_truncates_instead_of_raising(self):
-        stepper = Rk4Stepper(
-            lambda t, x, v: x * 1e300,  # overflows within a few steps
-            zero_force,
-            1.0,
-            [1.0],
-            [0.0],
-        )
+        # overflows within a few steps
+        stepper = LinearStepper(1e300 * np.eye(2), np.zeros((1, 2)), 1.0, [1.0], [0.0])
         out = simulate(stepper, ("heave",), t_end=10.0)
         assert out.truncated
         x = out.channel("x_heave")
@@ -195,10 +193,83 @@ class TestSimulate:
         assert np.array_equal(a.channel("f_heave"), b.channel("f_heave"))
 
     def test_sample_count(self):
-        stepper = NewmarkStepper(sdof_mats(), zero_force, 0.25, [0.0], [0.0])
-        out = simulate(stepper, ("heave",), t_end=1.0)
+        out = simulate(oscillator(0.25), ("heave",), t_end=1.0)
         assert len(out) == 5
         assert_allclose(out.t, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def independent_state_matrix(cfg):
+    """Continuous state matrix on [x; v] of a linear case, written out
+    from the configuration's numbers without the program's assembly."""
+    modal = sorted(cfg.modal, key=lambda p: p.dof)
+    m = np.array([p.inertia for p in modal])
+    w = np.array([p.circ_freq for p in modal])
+    c = 2.0 * m * np.array([p.damping_ratio for p in modal]) * w
+    if cfg.case == "case1-linear":
+        a = cfg.aero
+        q = 0.5 * a.rho * a.U**2 * 2.0 * a.D
+        E_d = np.array([[cfg.span * q * a.Y1 / a.U]])
+        E_s = np.array([[cfg.span * q * a.Y2 / a.U]])
+    else:
+        E_d, E_s = cfg.coupling.E_d, cfg.coupling.E_s
+    n = len(m)
+    return np.block(
+        [[np.zeros((n, n)), np.eye(n)],
+         [(E_s - np.diag(m * w * w)) / m[:, None], (E_d - np.diag(c)) / m[:, None]]]
+    )
+
+
+class TestLinearCases:
+    """The matrix stepper of each linear case against the exact solution
+    of the case's continuous system."""
+
+    T_END = 10.0
+
+    def exact(self, cfg):
+        n = cfg.n_dofs
+        phi = expm(independent_state_matrix(cfg) * cfg.dt)
+        y = np.concatenate((cfg.x0_disp, cfg.x0_vel))
+        out = np.empty((cfg.n_samples, n))
+        for k in range(cfg.n_samples):
+            out[k] = y[:n]
+            y = phi @ y
+        return out
+
+    @staticmethod
+    def normalized_rms(ref, test):
+        return np.sqrt(np.mean((ref - test) ** 2)) / np.sqrt(np.mean(ref**2))
+
+    @pytest.mark.parametrize("case", ["case1-linear", "case2dof"])
+    def test_state_matrix_is_the_case_system(self, case):
+        cfg = default_config(case)
+        assert_allclose(linear_state_matrix(cfg), independent_state_matrix(cfg), rtol=1e-13)
+
+    def test_case2dof_oracle_is_rk4_accurate(self):
+        cfg = default_config("case2dof", t_end=self.T_END)
+        exact, oracle = self.exact(cfg), run_oracle(cfg)
+        for i, d in enumerate(cfg.dofs):
+            assert self.normalized_rms(exact[:, i], oracle.channel(f"x_{d.label}")) <= 1e-6
+
+    def test_case1_linear_oracle_lags_by_newmark_phase_error(self):
+        # Average-acceleration Newmark elongates the period by (w dt)^2 / 12
+        # of a period, so by t the phase lags w t (w dt)^2 / 12 at the
+        # frequency w of the system with the force folded in.
+        cfg = default_config("case1-linear", t_end=self.T_END)
+        w = math.sqrt(-independent_state_matrix(cfg)[1, 0])
+        bound = w * self.T_END * (w * cfg.dt) ** 2 / 12.0
+        err = self.normalized_rms(self.exact(cfg)[:, 0], run_oracle(cfg).channel("x_heave"))
+        assert err <= bound
+
+    def test_case2dof_force_is_the_coupled_self_excited_force(self):
+        # F acts on y = [x; v]: force = E_d v + E_s x.
+        cfg = default_config("case2dof")
+        stepper = case_stepper(cfg)
+        rng = np.random.default_rng(3)
+        x, v = rng.standard_normal(2), rng.standard_normal(2)
+        expected = cfg.coupling.E_d @ v + cfg.coupling.E_s @ x
+        assert_allclose(stepper.force_at(0.0, x, v), expected, rtol=1e-13, atol=1e-15)
+        stepper.x[:], stepper.v[:] = x, v
+        assert_allclose(stepper.force(), expected, rtol=1e-13, atol=1e-15)
 
 
 def test_timeseries_validation():
