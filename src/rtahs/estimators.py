@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 # Eigenvalue floor applied to every covariance matrix after the update
 # and matching recursions, whose subtraction terms can otherwise produce
@@ -51,15 +52,17 @@ _EYE_CACHE: dict[int, np.ndarray] = {}
 def floor_spd(M: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     """Symmetrize and clamp eigenvalues of M from below.
 
-    Closed forms handle the 1x1 and 2x2 cases that dominate the per-step
-    cost; larger matrices go through an eigendecomposition.
+    1x1 and 2x2 matrices take closed forms.  Larger ones are decomposed
+    by LAPACK ``dsyevd``, the driver behind ``np.linalg.eigh``, called
+    directly to skip numpy's wrapper (same eigenpairs bit for bit); a
+    decomposition that fails to converge raises FilterNumericalError.
     """
     M = symmetrize(np.asarray(M, dtype=float))
     n = M.shape[0]
     if n == 1:
         return M if M[0, 0] >= floor else np.array([[floor]])
     if n == 2:
-        a, b, c = M[0, 0], M[0, 1], M[1, 1]
+        a, b, _, c = M.ravel().tolist()
         mean = 0.5 * (a + c)
         disc = np.hypot(0.5 * (a - c), b)
         lo = mean - disc
@@ -73,9 +76,10 @@ def floor_spd(M: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
         v = np.array([b, (mean - disc) - a])
         v /= np.hypot(v[0], v[1])
         w = np.array([-v[1], v[0]])
-        out = lo * np.outer(v, v) + hi * np.outer(w, w)
-        return symmetrize(out)
-    w, V = np.linalg.eigh(M)
+        return symmetrize(lo * (v[:, None] * v) + hi * (w[:, None] * w))
+    w, V, info = dsyevd(M, compute_v=1, lower=1)
+    if info != 0:
+        raise FilterNumericalError(f"eigendecomposition failed (LAPACK info {info})")
     if w[0] >= floor:
         return M
     w = np.maximum(w, floor)
@@ -91,10 +95,11 @@ def _inv_small(S: np.ndarray) -> np.ndarray:
             raise FilterNumericalError("singular innovation covariance")
         return np.array([[1.0 / s]])
     if n == 2:
-        det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-        if det == 0.0 or not np.isfinite(det):
+        s00, s01, s10, s11 = S.ravel().tolist()
+        det = s00 * s11 - s01 * s10
+        if det == 0.0 or not math.isfinite(det):
             raise FilterNumericalError("singular innovation covariance")
-        return np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det
+        return np.array([[s11, -s01], [-s10, s00]]) / det
     try:
         return np.linalg.inv(S)
     except np.linalg.LinAlgError as exc:
@@ -197,21 +202,23 @@ def forgetting_weight(b: float, k: int) -> float:
 
 def predict(
     fs: FilterState, u: np.ndarray, m: TransitionModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Prediction half-step.
 
-    Returns (x_prior, P_prior, A_k) where x_prior includes the current
-    process-noise mean and P_prior = A P A' + Q, symmetrized.
+    Returns (x_prior, P_prior, A_k, APA) where x_prior includes the
+    current process-noise mean, APA = A P A' is left unsymmetrized for
+    covariance matching, and P_prior = APA + Q, symmetrized.
     """
     if not (isinstance(u, np.ndarray) and u.ndim == 1):
         u = np.atleast_1d(np.asarray(u, dtype=float))
     x_prior = np.asarray(m.propagate(fs.x, u), dtype=float) + fs.noise.q
     A_k = np.asarray(m.jac_transition(fs.x, u), dtype=float)
-    P_prior = symmetrize(A_k @ fs.P @ A_k.T + fs.noise.Q)
+    APA = A_k @ fs.P @ A_k.T
+    P_prior = symmetrize(APA + fs.noise.Q)
     # any inf/nan entry poisons the sums, so two reductions cover the check
-    if not math.isfinite(float(np.sum(x_prior)) + float(np.sum(P_prior))):
+    if not math.isfinite(x_prior.sum() + P_prior.sum()):
         raise FilterNumericalError("non-finite prediction", step=fs.k + 1)
-    return x_prior, P_prior, A_k
+    return x_prior, P_prior, A_k, APA
 
 
 def _update_core(
@@ -220,39 +227,41 @@ def _update_core(
     z: np.ndarray,
     m: TransitionModel,
     noise: NoiseStats,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Measurement update; returns (x_post, P_post, K, innovation)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Measurement update; returns (x_post, P_post, K, innovation, HPH)
+    with HPH = H P_prior H' the predicted measurement covariance."""
     if not (isinstance(z, np.ndarray) and z.ndim == 1):
         z = np.atleast_1d(np.asarray(z, dtype=float))
     H = m.H
-    S = H @ P_prior @ H.T + noise.R
+    HPH = H @ P_prior @ H.T
+    S = HPH + noise.R
     K = P_prior @ H.T @ _inv_small(S)
     innovation = z - H @ x_prior - noise.r
     x_post = x_prior + K @ innovation
     P_post = floor_spd((_eye(len(x_prior)) - K @ H) @ P_prior)
-    if not math.isfinite(float(np.sum(x_post))):
+    if not math.isfinite(x_post.sum()):
         raise FilterNumericalError("non-finite posterior state")
-    return x_post, P_post, K, innovation
+    return x_post, P_post, K, innovation, HPH
 
 
 def update(fs: FilterState, z: np.ndarray, m: TransitionModel) -> FilterState:
     """Fuse a measurement into the current state without propagating it
     (the initial sample of a session, taken at t0); the step count
     stays."""
-    x_post, P_post, _, _ = _update_core(fs.x, symmetrize(fs.P), z, m, fs.noise)
+    x_post, P_post, *_ = _update_core(fs.x, symmetrize(fs.P), z, m, fs.noise)
     return FilterState(x=x_post, P=P_post, noise=fs.noise, k=fs.k)
 
 
 def covariance_match(
     prev: FilterState,
     x_prior: np.ndarray,
-    P_prior: np.ndarray,
+    APA: np.ndarray,
+    HPH: np.ndarray,
     new_x: np.ndarray,
     new_P: np.ndarray,
     innovation: np.ndarray,
     K: np.ndarray,
     A_k: np.ndarray,
-    H: np.ndarray,
     cfg: AdaptiveConfig,
 ) -> NoiseStats:
     """Innovation-based recursive re-estimation of the noise statistics.
@@ -262,8 +271,10 @@ def covariance_match(
     increment, the process covariance from the gain-weighted innovation
     outer product plus the covariance decrease, the measurement mean
     from the raw pre-fit residual, and the measurement covariance from
-    the innovation outer product minus the predicted part.  Both
-    covariance estimates are symmetrized and eigenvalue-floored.
+    the innovation outer product minus the predicted part.  APA and HPH
+    are the products A P A' and H P_prior H' already formed by
+    :func:`predict` and :func:`_update_core`.  Both covariance estimates
+    are symmetrized and eigenvalue-floored.
     """
     k = prev.k + 1
     d = forgetting_weight(cfg.forgetting_factor, k)
@@ -276,20 +287,14 @@ def covariance_match(
     q_new = (1.0 - d) * n.q + d * dx
 
     Ke = K @ innovation
-    Q_new = (1.0 - d) * n.Q + d * (
-        np.outer(Ke, Ke) + new_P - A_k @ prev.P @ A_k.T
-    )
-    Q_new = floor_spd(Q_new)
+    Q_new = floor_spd((1.0 - d) * n.Q + d * (Ke[:, None] * Ke + new_P - APA))
 
     # Raw pre-fit residual z - h(x_prior), i.e. the innovation before the
     # measurement-mean correction.
     raw = innovation + n.r
     r_new = (1.0 - d) * n.r + d * raw
 
-    R_new = (1.0 - d) * n.R + d * (
-        np.outer(innovation, innovation) - H @ P_prior @ H.T
-    )
-    R_new = floor_spd(R_new)
+    R_new = floor_spd((1.0 - d) * n.R + d * (innovation[:, None] * innovation - HPH))
     return NoiseStats(q=q_new, Q=Q_new, r=r_new, R=R_new)
 
 
@@ -358,9 +363,9 @@ def ekf_step(
         if not (isinstance(u, np.ndarray) and u.ndim == 1):
             u = np.atleast_1d(np.asarray(u, dtype=float))
         return _sdof_scalar_step(fs, u, z, m)
-    x_prior, P_prior, _ = predict(fs, u, m)
+    x_prior, P_prior, _, _ = predict(fs, u, m)
     try:
-        x_post, P_post, _, _ = _update_core(x_prior, P_prior, z, m, fs.noise)
+        x_post, P_post, *_ = _update_core(x_prior, P_prior, z, m, fs.noise)
     except FilterNumericalError as exc:
         raise FilterNumericalError(str(exc), step=fs.k + 1) from exc
     return FilterState(x=x_post, P=P_post, noise=fs.noise, k=fs.k + 1)
@@ -378,14 +383,14 @@ def aekf_step(
     is disabled, making the step equal to :func:`ekf_step`)."""
     if not cfg.enabled:
         return ekf_step(fs, u, z, m)
-    x_prior, P_prior, A_k = predict(fs, u, m)
+    x_prior, P_prior, A_k, APA = predict(fs, u, m)
     try:
-        x_post, P_post, K, innovation = _update_core(x_prior, P_prior, z, m, fs.noise)
+        x_post, P_post, K, innovation, HPH = _update_core(x_prior, P_prior, z, m, fs.noise)
+        noise = covariance_match(
+            fs, x_prior, APA, HPH, x_post, P_post, innovation, K, A_k, cfg
+        )
     except FilterNumericalError as exc:
         raise FilterNumericalError(str(exc), step=fs.k + 1) from exc
-    noise = covariance_match(
-        fs, x_prior, P_prior, x_post, P_post, innovation, K, A_k, m.H, cfg
-    )
     return FilterState(x=x_post, P=P_post, noise=noise, k=fs.k + 1)
 
 

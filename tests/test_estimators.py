@@ -2,15 +2,19 @@
 matching, and the filter-equality properties."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from rtahs import cosim, estimators
 from rtahs.aero import heave_jacobian
 from rtahs.cases import nonlinear_heave_deriv, nonlinear_heave_model
+from rtahs.config import load_config
 from rtahs.dynamics import DofId, ModalParams, build_state_space
 from rtahs.estimators import (
     PSD_FLOOR,
@@ -28,6 +32,7 @@ from rtahs.estimators import (
     predict,
     update,
 )
+from rtahs.harness import run_loop
 
 CASE1 = ModalParams(DofId.HEAVE, inertia=182.178, damping_ratio=0.005, circ_freq=17.64)
 
@@ -53,7 +58,7 @@ def make_state(x, P, q_var=0.0, r_var=1.0, n_obs=1):
 class TestPredict:
     def test_identity_dynamics_fixed_point(self):
         fs = make_state([0.3, -0.1], np.diag([2.0, 3.0]), q_var=0.0)
-        x_prior, P_prior, _ = predict(fs, np.zeros(1), identity_model())
+        x_prior, P_prior, _, _ = predict(fs, np.zeros(1), identity_model())
         assert_allclose(x_prior, fs.x)
         assert_allclose(P_prior, fs.P)
 
@@ -61,13 +66,13 @@ class TestPredict:
         ssm = build_state_space([CASE1], dt=1e-3)
         model = linear_transition_model(ssm)
         fs = make_state([0.01, 0.0], np.eye(2) * 1e-10, q_var=0.0)
-        x_prior, _, _ = predict(fs, np.zeros(1), model)
+        x_prior, _, _, _ = predict(fs, np.zeros(1), model)
         assert np.max(np.abs(x_prior - ssm.Phi @ fs.x)) <= 1e-12
 
     def test_additive_covariance(self):
         sigma2 = 0.7
         fs = make_state([0.0, 0.0], np.diag([1.0, 2.0]), q_var=sigma2)
-        _, P_prior, _ = predict(fs, np.zeros(1), identity_model())
+        _, P_prior, _, _ = predict(fs, np.zeros(1), identity_model())
         assert_allclose(P_prior, np.diag([1.0 + sigma2, 2.0 + sigma2]))
 
     def test_process_mean_enters_prediction(self):
@@ -76,7 +81,7 @@ class TestPredict:
             q=np.array([0.5, -0.5]), Q=np.zeros((2, 2)), r=np.zeros(1), R=np.eye(1)
         )
         fs = FilterState(x=fs.x, P=fs.P, noise=noise, k=0)
-        x_prior, _, _ = predict(fs, np.zeros(1), identity_model())
+        x_prior, _, _, _ = predict(fs, np.zeros(1), identity_model())
         assert_allclose(x_prior, [1.5, 0.5])
 
     def test_nonfinite_raises_with_step(self):
@@ -199,7 +204,7 @@ class TestFilterSteps:
             u = rng.normal(size=1)
             z = rng.normal(0.01, 0.001, size=1)
             # the Kalman filter step: generic predict and update
-            x_prior, P_prior, _ = predict(fk, u, model)
+            x_prior, P_prior, _, _ = predict(fk, u, model)
             fk = update(FilterState(x_prior, P_prior, fk.noise, fk.k + 1), z, model)
             fe = ekf_step(fe, u, z, model)
         assert np.max(np.abs(fk.x - fe.x)) <= 1e-12
@@ -288,8 +293,8 @@ class TestFilterSteps:
                 u = rng.normal(size=1)
                 z = rng.normal(0.01, 1e-3, size=1)
                 f_fast = ekf_step(f_fast, u, z, model)
-                x_prior, P_prior, _ = predict(f_ref, u, model)
-                x_post, P_post, _, _ = _update_core(
+                x_prior, P_prior, _, _ = predict(f_ref, u, model)
+                x_post, P_post, _, _, _ = _update_core(
                     x_prior, P_prior, z, model, f_ref.noise
                 )
                 f_ref = FilterState(x=x_post, P=P_post, noise=f_ref.noise, k=f_ref.k + 1)
@@ -310,6 +315,132 @@ class TestFilterSteps:
             return np.array(out)
 
         assert np.array_equal(run(), run())
+
+
+def reference_floor(M, floor=PSD_FLOOR):
+    """The eigenvalue floor written plainly: the 2x2 closed form on numpy
+    scalars with np.outer, and np.linalg.eigh for larger matrices."""
+    M = 0.5 * (M + M.T)
+    n = M.shape[0]
+    if n == 1:
+        return M if M[0, 0] >= floor else np.array([[floor]])
+    if n == 2:
+        a, b, c = M[0, 0], M[0, 1], M[1, 1]
+        mean = 0.5 * (a + c)
+        disc = np.hypot(0.5 * (a - c), b)
+        if mean - disc >= floor:
+            return M
+        hi = max(mean + disc, floor)
+        if abs(b) < 1e-300:
+            return np.array([[max(a, floor), 0.0], [0.0, max(c, floor)]])
+        v = np.array([b, (mean - disc) - a])
+        v /= np.hypot(v[0], v[1])
+        w = np.array([-v[1], v[0]])
+        out = floor * np.outer(v, v) + hi * np.outer(w, w)
+        return 0.5 * (out + out.T)
+    w, V = np.linalg.eigh(M)
+    if w[0] >= floor:
+        return M
+    out = (V * np.maximum(w, floor)) @ V.T
+    return 0.5 * (out + out.T)
+
+
+def textbook_aekf_step(fs, u, z, m, cfg, clamps):
+    """One adaptive EKF step as the plain composition of its formulas:
+    A P A' and H P H' formed where each equation needs them, outer
+    products by np.outer, floors by :func:`reference_floor`.  ``clamps``
+    counts the steps at which each floor changed its input."""
+    n = fs.noise
+    A = m.jac_transition(fs.x, u)
+    x_prior = m.propagate(fs.x, u) + n.q
+    P_prior = A @ fs.P @ A.T + n.Q
+    P_prior = 0.5 * (P_prior + P_prior.T)
+    H = m.H
+    S = H @ P_prior @ H.T + n.R
+    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    K = P_prior @ H.T @ (np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det)
+    innovation = z - H @ x_prior - n.r
+    x_post = x_prior + K @ innovation
+
+    def floored(name, M):
+        out = reference_floor(M)
+        clamps[name] += not np.array_equal(out, 0.5 * (M + M.T))
+        return out
+
+    P_post = floored("P", (np.eye(len(x_prior)) - K @ H) @ P_prior)
+    b = cfg.forgetting_factor
+    d = (1.0 - b) / (1.0 - b ** (fs.k + 1))
+    if cfg.q_update_form == "linearized":
+        dx = x_post - A @ fs.x
+    else:
+        dx = x_post - (x_prior - n.q)
+    Ke = K @ innovation
+    Q = floored("Q", (1.0 - d) * n.Q + d * (np.outer(Ke, Ke) + P_post - A @ fs.P @ A.T))
+    R = floored(
+        "R",
+        (1.0 - d) * n.R + d * (np.outer(innovation, innovation) - H @ P_prior @ H.T),
+    )
+    noise = NoiseStats(
+        q=(1.0 - d) * n.q + d * dx, Q=Q, r=(1.0 - d) * n.r + d * (innovation + n.r), R=R
+    )
+    return FilterState(x=x_post, P=P_post, noise=noise, k=fs.k + 1)
+
+
+class TestAekfBitIdentity:
+    def test_case2dof_loop_equals_textbook_composition(self, monkeypatch):
+        # Record every aekf_step of a 2-s in-process run of the shipped
+        # case2dof config, then fold the textbook step over the recorded
+        # inputs: each step's x, P, q, Q, r and R must match bit for bit.
+        path = Path(__file__).resolve().parents[1] / "configs" / "case2dof.yaml"
+        cfg = replace(load_config(path), mode="in-process", t_end=2.0)
+        steps = []
+
+        def recording_step(fs, u, z, m, adaptive):
+            out = aekf_step(fs, u, z, m, adaptive)
+            steps.append((fs, u, z, m, adaptive, out))
+            return out
+
+        monkeypatch.setattr(cosim, "aekf_step", recording_step)
+        run_loop(cfg)
+        assert len(steps) == cfg.n_samples - 1
+        clamps = {"P": 0, "Q": 0, "R": 0}
+        ref = steps[0][0]
+        for fs, u, z, m, adaptive, out in steps:
+            ref = textbook_aekf_step(ref, u, z, m, adaptive, clamps)
+            assert ref.k == out.k
+            for name, a, b in (
+                ("x", ref.x, out.x),
+                ("P", ref.P, out.P),
+                ("q", ref.noise.q, out.noise.q),
+                ("Q", ref.noise.Q, out.noise.Q),
+                ("r", ref.noise.r, out.noise.r),
+                ("R", ref.noise.R, out.noise.R),
+            ):
+                assert np.array_equal(a, b), f"step {out.k}: {name} differs"
+        # both branches of every floor ran
+        assert all(0 < c < len(steps) for c in clamps.values()), clamps
+
+    # A 4-state step decomposes P in the update (call 1) and the adapted
+    # Q in the covariance matching (call 2).
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_nonconvergent_eigendecomposition_raises_with_step(
+        self, monkeypatch, failing_call
+    ):
+        lapack_dsyevd = estimators.dsyevd
+        calls = []
+
+        def dsyevd_stub(M, compute_v=1, lower=1):
+            calls.append(M)
+            if len(calls) == failing_call:
+                return np.zeros(len(M)), np.eye(len(M)), 1
+            return lapack_dsyevd(M, compute_v=compute_v, lower=lower)
+
+        monkeypatch.setattr(estimators, "dsyevd", dsyevd_stub)
+        fs = replace(make_state(np.zeros(4), np.eye(4), q_var=1e-6, n_obs=2), k=6)
+        with pytest.raises(FilterNumericalError, match="info 1") as err:
+            aekf_step(fs, np.zeros(2), np.ones(2), identity_model(n=4, m=2))
+        assert err.value.step == 7
+        assert len(calls) == failing_call
 
 
 class TestCovarianceFloor:
@@ -334,6 +465,27 @@ class TestCovarianceFloor:
                 w, V = np.linalg.eigh(0.5 * (M + M.T))
                 ref = (V * np.maximum(w, 1e-6)) @ V.T
                 assert_allclose(out, ref, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        gram=st.booleans(),
+        scale=st.sampled_from([1e-9, 1e-5, 1e-2]),
+        floor=st.sampled_from([PSD_FLOOR, 1e-6]),
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=36, max_size=36),
+    )
+    # a zero-trace (indefinite) matrix, clamped, and a rank-one Gram
+    # matrix lifted above the floor, passed through
+    @example(n=4, gram=False, scale=1e-2, floor=PSD_FLOOR, entries=[1.0, -1.0] * 18)
+    @example(n=4, gram=True, scale=1e-2, floor=PSD_FLOOR, entries=[0.5] * 36)
+    def test_floor_spd_properties(self, n, gram, scale, floor, entries):
+        B = scale * np.array(entries[: n * n]).reshape(n, n)
+        M = B @ B.T + 2.0 * floor * np.eye(n) if gram else 0.5 * (B + B.T)
+        out = floor_spd(M, floor)
+        assert np.array_equal(out, out.T)
+        assert np.linalg.eigvalsh(out)[0] >= floor - 1e-15
+        if n >= 3:
+            assert np.array_equal(out, reference_floor(M, floor))
 
 
 class TestNumericJacobian:
