@@ -10,12 +10,12 @@ rather than zero-padded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class ConfigurationError(ValueError):
@@ -163,11 +163,49 @@ def build_state_space(params: Sequence[ModalParams], dt: float) -> StateSpaceMod
 
 
 def discretize_zoh(A: np.ndarray, B: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization of ``x_dot = A x + B u``."""
+    """Exact zero-order-hold discretization of ``x_dot = A x + B u``:
+    Phi and Gamma are the blocks of ``expm([[A, B], [0, 0]] dt)``, taken
+    by :func:`_expm`."""
     n = A.shape[0]
     m = B.shape[1]
     blk = np.zeros((n + m, n + m))
     blk[:n, :n] = A
     blk[:n, n:] = B
-    e = expm(blk * dt)
+    e = _expm(blk * dt)
     return e[:n, :n].copy(), e[:n, n:].copy()
+
+
+# Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, and the
+# size of X up to which it is exact to double precision (Higham, SIAM J.
+# Matrix Anal. Appl. 26(4), 2005, eq. 2.7 and Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(X: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of the [13/13] Pade
+    approximant.  The scaling 2^-s is set by ``min(max(d6, d8), max(d8,
+    d10))`` with ``dk = |X^k|_1^(1/k)`` (Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31(3), 2009), not by ``|X|_1``, which over-scales a
+    lightly damped oscillator block and loses accuracy in the squarings."""
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    d6, d8, d10 = (
+        np.abs(P).sum(axis=0).max() ** (1.0 / k) for P, k in ((X6, 6), (X4 @ X4, 8), (X4 @ X6, 10))
+    )
+    eta = min(max(d6, d8), max(d8, d10))
+    s = math.ceil(math.log2(eta / _THETA13)) if eta > _THETA13 else 0
+    X, X2, X4, X6 = X / 2.0**s, X2 / 4.0**s, X4 / 16.0**s, X6 / 64.0**s
+    b = _PADE13
+    I = np.eye(X.shape[0])
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * I)
+    V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * I
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
+from numpy.linalg._umath_linalg import eigh_lo
 
 # Eigenvalue floor applied to every covariance matrix after the update
 # and matching recursions, whose subtraction terms can otherwise produce
@@ -53,9 +53,11 @@ def floor_spd(M: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     """Symmetrize and clamp eigenvalues of M from below.
 
     1x1 and 2x2 matrices take closed forms.  Larger ones are decomposed
-    by LAPACK ``dsyevd``, the driver behind ``np.linalg.eigh``, called
-    directly to skip numpy's wrapper (same eigenpairs bit for bit); a
-    decomposition that fails to converge raises FilterNumericalError.
+    by numpy's ``eigh_lo`` gufunc, the LAPACK ``dsyevd`` kernel behind
+    ``np.linalg.eigh``, called directly to skip that wrapper's error-state
+    handling (same eigenpairs bit for bit).  The kernel reports a
+    decomposition that fails to converge as NaN eigenvalues, which raises
+    FilterNumericalError.
     """
     M = symmetrize(np.asarray(M, dtype=float))
     n = M.shape[0]
@@ -77,9 +79,9 @@ def floor_spd(M: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
         v /= np.hypot(v[0], v[1])
         w = np.array([-v[1], v[0]])
         return symmetrize(lo * (v[:, None] * v) + hi * (w[:, None] * w))
-    w, V, info = dsyevd(M, compute_v=1, lower=1)
-    if info != 0:
-        raise FilterNumericalError(f"eigendecomposition failed (LAPACK info {info})")
+    w, V = eigh_lo(M, signature="d->dd")
+    if math.isnan(w[0]):
+        raise FilterNumericalError("eigendecomposition did not converge")
     if w[0] >= floor:
         return M
     w = np.maximum(w, floor)

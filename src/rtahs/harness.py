@@ -4,7 +4,6 @@ write the CSV/summary artifacts."""
 
 from __future__ import annotations
 
-import io
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -191,13 +190,12 @@ def run_delay_study(
 
 
 def series_to_csv(series: TimeSeries) -> str:
-    buf = io.StringIO()
     names = series.channels
-    buf.write(",".join(["t"] + names) + "\n")
-    cols = [series.t] + [series.data[n] for n in names]
-    for row in zip(*cols):
-        buf.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
-    return buf.getvalue()
+    # Python floats format as their numpy scalars do, at a fraction of
+    # the cost, and one template formats a whole row.
+    cols = [series.t.tolist()] + [series.data[n].tolist() for n in names]
+    row = ",".join([FLOAT_FMT] * len(cols)) + "\n"
+    return ",".join(["t"] + names) + "\n" + "".join(row.format(*r) for r in zip(*cols))
 
 
 def write_series(series: TimeSeries, path: Path) -> None:

@@ -1,11 +1,14 @@
 """Structural matrices and state-space discretization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from rtahs.config import load_config
 from rtahs.dynamics import (
     ConfigurationError,
     DofId,
@@ -161,3 +164,56 @@ def test_discretize_zoh_double_integrator():
     Phi, Gamma = discretize_zoh(A, B, dt)
     assert_allclose(Phi, [[1.0, dt], [0.0, 1.0]], atol=1e-15)
     assert_allclose(Gamma, [[dt**2 / 2.0], [dt]], atol=1e-15)
+
+
+# discretize_zoh against scipy's expm of the same augmented block: every
+# entry within 100 float64 eps of scipy's, scaled by the 1-norm of the
+# exponential.
+ZOH_TOL = 100 * np.finfo(float).eps
+# The 1-norm above which a degree-13 Pade approximant needs squaring.
+THETA_13 = 5.371920351148152
+
+
+def assert_zoh_matches_expm(A, B, dt):
+    expm = pytest.importorskip("scipy.linalg").expm
+    n = A.shape[0]
+    blk = np.zeros((n + B.shape[1],) * 2)
+    blk[:n, :n] = A
+    blk[:n, n:] = B
+    ref = expm(blk * dt)
+    Phi, Gamma = discretize_zoh(A, B, dt)
+    tol = ZOH_TOL * np.abs(ref).sum(axis=0).max()
+    assert np.max(np.abs(Phi - ref[:n, :n])) <= tol
+    assert np.max(np.abs(Gamma - ref[:n, n:])) <= tol
+
+
+@pytest.mark.parametrize("case", ["case1-linear", "case1-nonlinear", "case2dof"])
+def test_discretize_zoh_matches_expm_on_shipped_configs(case):
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{case}.yaml")
+    ssm = build_state_space(cfg.modal, cfg.dt)
+    assert_zoh_matches_expm(ssm.A, ssm.B, ssm.dt)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_discretize_zoh_matches_expm_when_squaring(seed):
+    # Random stable blocks sampled at 1-10 ms whose A dt has a 1-norm of
+    # 6-600, past the squaring threshold: uncoupled modal oscillators up
+    # to about 2.4 rad per sample, and dense A = S - (G G' + I) with S
+    # skew, whose symmetric part is negative definite.
+    rng = np.random.default_rng(seed)
+    n_dofs = int(rng.integers(1, 4))
+    n = 2 * n_dofs
+    dt = rng.uniform(1e-3, 1e-2)
+    if seed % 2:
+        A = np.zeros((n, n))
+        for j in range(0, n, 2):
+            om2, xi = rng.uniform(6.0, 600.0) / dt, rng.uniform(0.0, 0.5)
+            A[j, j + 1], A[j + 1, j], A[j + 1, j + 1] = 1.0, -om2, -2.0 * xi * np.sqrt(om2)
+    else:
+        S = rng.normal(size=(n, n))
+        G = rng.normal(size=(n, n))
+        A = (S - S.T) - (G @ G.T + np.eye(n))
+        A *= rng.uniform(6.0, 600.0) / dt / np.abs(A).sum(axis=0).max()
+    B = rng.normal(size=(n, n_dofs))
+    assert np.abs(A * dt).sum(axis=0).max() > THETA_13
+    assert_zoh_matches_expm(A, B, dt)

@@ -426,18 +426,19 @@ class TestAekfBitIdentity:
     def test_nonconvergent_eigendecomposition_raises_with_step(
         self, monkeypatch, failing_call
     ):
-        lapack_dsyevd = estimators.dsyevd
+        kernel = estimators.eigh_lo
         calls = []
 
-        def dsyevd_stub(M, compute_v=1, lower=1):
+        # the gufunc reports a LAPACK failure as NaN eigenvalues and vectors
+        def eigh_stub(M, signature):
             calls.append(M)
             if len(calls) == failing_call:
-                return np.zeros(len(M)), np.eye(len(M)), 1
-            return lapack_dsyevd(M, compute_v=compute_v, lower=lower)
+                return np.full(len(M), np.nan), np.full(M.shape, np.nan)
+            return kernel(M, signature=signature)
 
-        monkeypatch.setattr(estimators, "dsyevd", dsyevd_stub)
+        monkeypatch.setattr(estimators, "eigh_lo", eigh_stub)
         fs = replace(make_state(np.zeros(4), np.eye(4), q_var=1e-6, n_obs=2), k=6)
-        with pytest.raises(FilterNumericalError, match="info 1") as err:
+        with pytest.raises(FilterNumericalError, match="did not converge") as err:
             aekf_step(fs, np.zeros(2), np.ones(2), identity_model(n=4, m=2))
         assert err.value.step == 7
         assert len(calls) == failing_call

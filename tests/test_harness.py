@@ -1,6 +1,7 @@
 """Harness layer: case orchestration, CSV/summary artifacts,
 configuration files, and the CLI."""
 
+import io
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,13 +14,16 @@ from rtahs.cases import default_config
 from rtahs.cli import main
 from rtahs.config import ConfigFileError, config_from_dict, load_config
 from rtahs.harness import (
+    FLOAT_FMT,
     build_surrogate_session,
     read_series,
     run_case,
     run_delay_study,
     run_oracle,
+    series_to_csv,
     write_case_artifacts,
 )
+from rtahs.integrators import TimeSeries
 
 def short_cfg(case="case1-linear", **over):
     return default_config(case, t_end=1.0, **over)
@@ -119,6 +123,30 @@ class TestArtifacts:
             "metrics.x_heave.envelope",
         ):
             assert key in text, key
+
+    def test_csv_writer_matches_per_value_loop(self):
+        def reference(series):
+            # the writer as it was: each numpy scalar formatted on its own
+            buf = io.StringIO()
+            buf.write(",".join(["t"] + series.channels) + "\n")
+            cols = [series.t] + [series.data[n] for n in series.channels]
+            for row in zip(*cols):
+                buf.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
+            return buf.getvalue()
+
+        fi = np.finfo(float)
+        sub = fi.smallest_subnormal
+        edge = np.array(
+            [0.0, -0.0, sub, -sub, 3 * sub, fi.tiny / 2, fi.tiny, -fi.tiny, fi.max,
+             -fi.max, np.nan, np.inf, -np.inf, 0.1, 1 / 3, -2.5e-300, 1e16 + 2]
+        )
+        rng = np.random.default_rng(3)
+        n = len(edge)
+        wide = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        series = TimeSeries(
+            dt=1e-3, t=np.arange(n) * 1e-3, data={"a": edge, "b": -edge[::-1], "c": wide}
+        )
+        assert series_to_csv(series) == reference(series)
 
     def test_read_series_rejects_nonuniform_grid(self, tmp_path):
         p = tmp_path / "bad.csv"
