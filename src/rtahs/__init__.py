@@ -10,11 +10,7 @@ for the shipped validation cases and the time-delay study.
 from .aero import (
     AeroParams,
     CoupledSeMatrices,
-    amplitude_dep_damping,
-    amplitude_dep_frequency,
-    instantaneous_amplitude,
     linear_se_force,
-    nonlinear_vortex_force,
 )
 from .cases import CaseConfig, default_config
 from .config import ConfigFileError, config_from_dict, load_config
@@ -32,7 +28,6 @@ from .dynamics import (
     ConfigurationError,
     DofId,
     ModalParams,
-    StateSpaceModel,
     StructuralMatrices,
     assemble_matrices,
     build_state_space,
@@ -47,7 +42,6 @@ from .estimators import (
     aekf_step,
     ekf_step,
     linear_transition_model,
-    numeric_jacobian,
     predict,
     update,
 )

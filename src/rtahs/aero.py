@@ -98,18 +98,6 @@ def vortex_force(p: AeroParams, span: float = 1.0):
     return force
 
 
-def nonlinear_vortex_force(h: float, h_dot: float, t: float, p: AeroParams) -> float:
-    """Nonlinear vortex-induced force per unit span (see :func:`vortex_force`)."""
-    return vortex_force(p)(t, h, h_dot)
-
-
-def instantaneous_amplitude(h: float, h_dot: float, omega0: float) -> float:
-    """Transient oscillation amplitude sqrt(h^2 + (h_dot/omega0)^2)."""
-    if not omega0 > 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
-    return math.hypot(h, h_dot / omega0)
-
-
 def heave_acceleration(inertia: float, omega0: float, D: float):
     """Acceleration kernel ``acc(h, v, u)`` of the amplitude-dependent
     heave oscillator under the force u: u/m - 2 xi om v - om^2 h.
@@ -141,25 +129,6 @@ def heave_acceleration(inertia: float, omega0: float, D: float):
         return u / inertia - 2.0 * xi * om * v - om * om * h
 
     return acc
-
-
-def amplitude_dep_damping(a: float, D: float) -> float:
-    """Amplitude-dependent structural damping ratio xi(a) of
-    :func:`heave_acceleration` (taken at displacement a, velocity zero),
-    finite at zero amplitude."""
-    if a < 0:
-        raise ValueError(f"amplitude must be >= 0, got {a}")
-    if not D > 0:
-        raise ValueError(f"D must be positive, got {D}")
-    return heave_acceleration(1.0, 1.0, D)(a, 0.0, 0.0, law=True)[2]
-
-
-def amplitude_dep_frequency(a: float, D: float, omega0: float) -> float:
-    """Amplitude-softened circular frequency om(a) of
-    :func:`heave_acceleration`, clamped at FREQUENCY_FLOOR_RATIO * omega0."""
-    if a < 0:
-        raise ValueError(f"amplitude must be >= 0, got {a}")
-    return heave_acceleration(1.0, omega0, D)(a, 0.0, 0.0, law=True)[3]
 
 
 def heave_jacobian(omega0: float, D: float):

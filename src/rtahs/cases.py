@@ -50,7 +50,6 @@ from .estimators import (
     NoiseStats,
     TransitionModel,
     linear_transition_model,
-    numeric_jacobian,
 )
 from .integrators import (
     LinearStepper,
@@ -92,8 +91,15 @@ class FilterSettings:
     meas_mean: float = 0.0
     forgetting_factor: float = DEFAULT_FORGETTING_FACTOR
     adapt_enabled: bool = True
-    q_update_form: str = "linearized"
-    jacobian: str = "analytic"  # or "numeric"
+
+    def __post_init__(self):
+        for name in ("p0", "process_var"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        # A positive R keeps the innovation covariance H P H' + R invertible.
+        if not (math.isfinite(self.meas_var) and self.meas_var > 0):
+            raise ValueError(f"meas_var must be finite and > 0, got {self.meas_var}")
 
 
 @dataclass(frozen=True)
@@ -244,13 +250,9 @@ def default_config(case: str, estimator: Optional[str] = None, **overrides) -> C
     return replace(cfg, **overrides)
 
 
-def with_aero(cfg: CaseConfig, **aero_overrides) -> CaseConfig:
-    return replace(cfg, aero=replace(cfg.aero, **aero_overrides))
-
-
 # ---------------------------------------------------------------------------
-# Command-driven and inert surrogate generators (the integrated truth is
-# the case's stepper)
+# Command-driven surrogate generator (the integrated truth is the case's
+# stepper)
 # ---------------------------------------------------------------------------
 
 
@@ -280,24 +282,6 @@ class EchoGenerator:
     def receive_command(self, disp: np.ndarray) -> None:
         self.prev_cmd = self.cmd
         self.cmd = np.asarray(disp, float).copy()
-
-    def advance(self) -> None:
-        self.t += self.dt
-
-
-class StaticGenerator:
-    """Inert generator: zero force, zero displacement (diagnostics)."""
-
-    def __init__(self, n_dofs: int, dt: float = 0.0):
-        self.n = n_dofs
-        self.dt = dt
-        self.t = 0.0
-
-    def outputs(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros(self.n), np.zeros(self.n)
-
-    def receive_command(self, disp: np.ndarray) -> None:
-        pass
 
     def advance(self) -> None:
         self.t += self.dt
@@ -391,24 +375,11 @@ def truth_generator(cfg: CaseConfig):
 # ---------------------------------------------------------------------------
 
 
-def nonlinear_heave_deriv(x: np.ndarray, u: float, inertia: float, omega0: float, D: float):
-    """Continuous amplitude-dependent heave dynamics driven by a
-    measured force (scalar state derivative pair)."""
-    h, v = float(x[0]), float(x[1])
-    return np.array([v, heave_acceleration(inertia, omega0, D)(h, v, u)])
-
-
-def nonlinear_heave_model(
-    inertia: float,
-    omega0: float,
-    D: float,
-    dt: float,
-    substeps: int = 4,
-    jacobian: str = "analytic",
-) -> TransitionModel:
+def nonlinear_heave_model(inertia: float, omega0: float, D: float, dt: float) -> TransitionModel:
     """Transition model for the amplitude-dependent heave oscillator:
-    RK4 sub-stepped propagation under a held force input, observation of
-    the displacement."""
+    RK4 propagation in four sub-steps under a held force input, the
+    analytic transition Jacobian, observation of the displacement."""
+    substeps = 4
     h_sub = dt / substeps
     half, sixth = 0.5 * h_sub, h_sub / 6.0
     _acc = heave_acceleration(inertia, omega0, D)
@@ -428,47 +399,37 @@ def nonlinear_heave_model(
             x2 += sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         return np.array([x1, x2])
 
-    if jacobian == "analytic":
+    jac = heave_jacobian(omega0, D)
 
-        jac = heave_jacobian(omega0, D)
-
-        def jac_transition(x, u):
-            j21, j22 = jac(float(x[0]), float(x[1]))
-            # exp([[0, dt], [j21*dt, j22*dt]]) to fourth order, elementwise.
-            b = j21 * dt
-            c = j22 * dt
-            m2_11 = dt * b
-            m2_12 = dt * c
-            m2_21 = c * b
-            m2_22 = dt * b + c * c
-            m3_11 = m2_12 * b
-            m3_12 = m2_11 * dt + m2_12 * c
-            m3_21 = m2_22 * b
-            m3_22 = m2_21 * dt + m2_22 * c
-            m4_11 = m2_11 * m2_11 + m2_12 * m2_21
-            m4_12 = m2_11 * m2_12 + m2_12 * m2_22
-            m4_21 = m2_21 * m2_11 + m2_22 * m2_21
-            m4_22 = m2_21 * m2_12 + m2_22 * m2_22
-            return np.array(
+    def jac_transition(x, u):
+        j21, j22 = jac(float(x[0]), float(x[1]))
+        # exp([[0, dt], [j21*dt, j22*dt]]) to fourth order, elementwise.
+        b = j21 * dt
+        c = j22 * dt
+        m2_11 = dt * b
+        m2_12 = dt * c
+        m2_21 = c * b
+        m2_22 = dt * b + c * c
+        m3_11 = m2_12 * b
+        m3_12 = m2_11 * dt + m2_12 * c
+        m3_21 = m2_22 * b
+        m3_22 = m2_21 * dt + m2_22 * c
+        m4_11 = m2_11 * m2_11 + m2_12 * m2_21
+        m4_12 = m2_11 * m2_12 + m2_12 * m2_22
+        m4_21 = m2_21 * m2_11 + m2_22 * m2_21
+        m4_22 = m2_21 * m2_12 + m2_22 * m2_22
+        return np.array(
+            [
                 [
-                    [
-                        1.0 + m2_11 / 2.0 + m3_11 / 6.0 + m4_11 / 24.0,
-                        dt + m2_12 / 2.0 + m3_12 / 6.0 + m4_12 / 24.0,
-                    ],
-                    [
-                        b + m2_21 / 2.0 + m3_21 / 6.0 + m4_21 / 24.0,
-                        1.0 + c + m2_22 / 2.0 + m3_22 / 6.0 + m4_22 / 24.0,
-                    ],
-                ]
-            )
-
-    elif jacobian == "numeric":
-
-        def jac_transition(x, u):
-            return numeric_jacobian(lambda xx: propagate(xx, u), x)
-
-    else:
-        raise ValueError(f"unknown jacobian mode {jacobian!r}")
+                    1.0 + m2_11 / 2.0 + m3_11 / 6.0 + m4_11 / 24.0,
+                    dt + m2_12 / 2.0 + m3_12 / 6.0 + m4_12 / 24.0,
+                ],
+                [
+                    b + m2_21 / 2.0 + m3_21 / 6.0 + m4_21 / 24.0,
+                    1.0 + c + m2_22 / 2.0 + m3_22 / 6.0 + m4_22 / 24.0,
+                ],
+            ]
+        )
 
     return TransitionModel(
         propagate=propagate, jac_transition=jac_transition, H=np.array([[1.0, 0.0]])
@@ -485,9 +446,7 @@ def filter_model(cfg: CaseConfig) -> TransitionModel:
     """
     if cfg.case == "case1-nonlinear" and cfg.estimator in ("ekf", "aekf"):
         p = cfg.modal[0]
-        return nonlinear_heave_model(
-            p.inertia, p.circ_freq, cfg.aero.D, cfg.dt, jacobian=cfg.filter.jacobian
-        )
+        return nonlinear_heave_model(p.inertia, p.circ_freq, cfg.aero.D, cfg.dt)
     ssm = build_state_space(cfg.modal, cfg.dt)
     return linear_transition_model(ssm)
 
@@ -517,5 +476,4 @@ def adaptive_config(cfg: CaseConfig) -> AdaptiveConfig:
     return AdaptiveConfig(
         forgetting_factor=cfg.filter.forgetting_factor,
         enabled=cfg.filter.adapt_enabled,
-        q_update_form=cfg.filter.q_update_form,
     )

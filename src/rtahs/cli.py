@@ -32,14 +32,10 @@ def _load_case(args) -> "CaseConfig":
     from .cases import default_config
     from .config import load_config
 
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-        if getattr(args, "case", None) and args.case != cfg.case:
-            cfg = default_config(args.case)
-    elif getattr(args, "case", None):
+    if getattr(args, "case", None):
         cfg = default_config(args.case)
     else:
-        raise ValueError("either --case or --config is required")
+        cfg = load_config(args.config)
 
     overrides = {
         name: getattr(args, name)
@@ -102,13 +98,11 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_physical(args) -> int:
-    from .cases import StaticGenerator
     from .cosim import SurrogateRunner
     from .harness import build_surrogate_session, lockstep_config
 
     cfg = _load_case(args)
-    generator = StaticGenerator(cfg.n_dofs, cfg.dt) if args.model == "zero" else None
-    session = build_surrogate_session(cfg, generator)
+    session = build_surrogate_session(cfg)
     runner = SurrogateRunner(lockstep_config(cfg), session, _parse_addr(args.connect))
     runner.run()
     st = runner.stats
@@ -172,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="run a validation case (loop + oracle + metrics)")
-    runp.add_argument("--case", choices=("case1-linear", "case1-nonlinear", "case2dof"))
-    runp.add_argument("--config", help="YAML configuration file")
+    source = runp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--case", choices=("case1-linear", "case1-nonlinear", "case2dof"))
+    source.add_argument("--config", help="YAML configuration file")
     runp.add_argument("--out", required=True, help="output directory for artifacts")
     runp.add_argument("--dt", type=float)
     runp.add_argument("--t-end", dest="t_end", type=float)
@@ -192,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     physp = sub.add_parser("physical", help="run the surrogate physical substructure")
     physp.add_argument("--connect", required=True, help="host:port of the server")
     physp.add_argument("--config", required=True)
-    physp.add_argument("--model", default="case", help='"zero" or "case" (config-selected)')
     physp.set_defaults(func=_cmd_physical)
 
     cmpp = sub.add_parser("compare", help="compare two trajectory CSV files")

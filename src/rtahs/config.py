@@ -3,11 +3,12 @@
 A config file selects a shipped case and overrides any subset of its
 fields; unknown keys, non-mapping sections and values of another type
 than the default's are rejected (an int may stand for a float, a bool
-never for a number), and so are out-of-range values: ``cosim.timeout``
-must be positive, ``cosim.max_retries`` non-negative,
-``cosim.loss_rate`` in [0, 1) and the surrogate's noise scales and
-delay non-negative.  The full schema (all values shown are the
-``case1-linear`` defaults):
+never for a number), and so are out-of-range values: ``filter.p0`` and
+``filter.process_var`` must be finite and non-negative,
+``filter.meas_var`` finite and positive, ``cosim.timeout`` positive,
+``cosim.max_retries`` non-negative, ``cosim.loss_rate`` in [0, 1) and
+the surrogate's noise scales and delay non-negative.  The full schema
+(all values shown are the ``case1-linear`` defaults):
 
 .. code-block:: yaml
 
@@ -50,8 +51,6 @@ delay non-negative.  The full schema (all values shown are the
       meas_mean: 0.0
       forgetting_factor: 0.96
       adapt_enabled: true
-      q_update_form: linearized   # linearized | residual
-      jacobian: analytic          # analytic | numeric
     surrogate:
       kind: integrator        # integrator | echo
       disp_noise_std: 1.0e-05

@@ -130,10 +130,6 @@ class SessionStats:
     timeouts: int = 0
     foreign: int = 0  # datagrams from an address other than the peer, dropped
 
-    @property
-    def delivered(self) -> int:
-        return self.sent - self.lost
-
 
 @dataclass
 class LockstepConfig:
@@ -400,18 +396,14 @@ class SurrogateSession:
         self._noise_block: Optional[np.ndarray] = None
 
     def prepare(self, n_samples: int, n_dofs: int) -> None:
-        """Pre-draw the per-step noise block.  Block generation yields
-        the same stream as per-step draws, so prepared and unprepared
-        sessions measure identical values."""
+        """Pre-draw the per-step noise block; :meth:`measure` of step k
+        reads row k, so ``prepare`` must run first."""
         self._noise_block = self.rng.standard_normal((n_samples, 2 * n_dofs))
 
     def measure(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         forces, disps = self.generator.outputs()
         n = len(forces)
-        if self._noise_block is not None:
-            eps = self._noise_block[k]
-        else:
-            eps = self.rng.standard_normal(2 * n)
+        eps = self._noise_block[k]
         forces = forces + self.force_noise_std * eps[:n]
         disps = disps + self.disp_noise_std * eps[n:]
         if self.delay is not None:

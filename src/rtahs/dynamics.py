@@ -100,14 +100,6 @@ class StateSpaceModel:
     Phi: np.ndarray
     Gamma: np.ndarray
 
-    @property
-    def n_dofs(self) -> int:
-        return len(self.dofs)
-
-    @property
-    def n_states(self) -> int:
-        return 2 * len(self.dofs)
-
 
 def assemble_matrices(params: Sequence[ModalParams]) -> StructuralMatrices:
     """Assemble diagonal M, C, K from per-DOF modal parameters.

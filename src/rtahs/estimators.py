@@ -178,21 +178,15 @@ class AdaptiveConfig:
     ``forgetting_factor`` must lie in (0, 1); step k receives weight
     d_k = (1-b)/(1-b^k), so the first update has full weight and the
     weights decrease towards 1-b.  With ``enabled`` False the adaptive
-    step degenerates exactly to the plain EKF.  ``q_update_form``
-    selects the state-increment used for the process-noise mean:
-    "linearized" uses x_post - A_k x_prev, "residual" uses the increment
-    relative to the propagated state x_post - propagate(x_prev, u).
+    step degenerates exactly to the plain EKF.
     """
 
     forgetting_factor: float = DEFAULT_FORGETTING_FACTOR
     enabled: bool = True
-    q_update_form: str = "linearized"
 
     def __post_init__(self):
         if not (0.0 < self.forgetting_factor < 1.0):
             raise ValueError("forgetting factor must be in (0, 1)")
-        if self.q_update_form not in ("linearized", "residual"):
-            raise ValueError(f"unknown q_update_form {self.q_update_form!r}")
 
 
 def forgetting_weight(b: float, k: int) -> float:
@@ -256,7 +250,6 @@ def update(fs: FilterState, z: np.ndarray, m: TransitionModel) -> FilterState:
 
 def covariance_match(
     prev: FilterState,
-    x_prior: np.ndarray,
     APA: np.ndarray,
     HPH: np.ndarray,
     new_x: np.ndarray,
@@ -270,22 +263,19 @@ def covariance_match(
 
     Exponential forgetting with weight d_k blends the previous moments
     with single-step estimates: the process mean from the state
-    increment, the process covariance from the gain-weighted innovation
-    outer product plus the covariance decrease, the measurement mean
-    from the raw pre-fit residual, and the measurement covariance from
-    the innovation outer product minus the predicted part.  APA and HPH
-    are the products A P A' and H P_prior H' already formed by
-    :func:`predict` and :func:`_update_core`.  Both covariance estimates
-    are symmetrized and eigenvalue-floored.
+    increment x_post - A_k x_prev, the process covariance from the
+    gain-weighted innovation outer product plus the covariance decrease,
+    the measurement mean from the raw pre-fit residual, and the
+    measurement covariance from the innovation outer product minus the
+    predicted part.  APA and HPH are the products A P A' and H P_prior H'
+    already formed by :func:`predict` and :func:`_update_core`.  Both
+    covariance estimates are symmetrized and eigenvalue-floored.
     """
     k = prev.k + 1
     d = forgetting_weight(cfg.forgetting_factor, k)
     n = prev.noise
 
-    if cfg.q_update_form == "linearized":
-        dx = new_x - A_k @ prev.x
-    else:
-        dx = new_x - (x_prior - n.q)
+    dx = new_x - A_k @ prev.x
     q_new = (1.0 - d) * n.q + d * dx
 
     Ke = K @ innovation
@@ -389,32 +379,8 @@ def aekf_step(
     try:
         x_post, P_post, K, innovation, HPH = _update_core(x_prior, P_prior, z, m, fs.noise)
         noise = covariance_match(
-            fs, x_prior, APA, HPH, x_post, P_post, innovation, K, A_k, cfg
+            fs, APA, HPH, x_post, P_post, innovation, K, A_k, cfg
         )
     except FilterNumericalError as exc:
         raise FilterNumericalError(str(exc), step=fs.k + 1) from exc
     return FilterState(x=x_post, P=P_post, noise=noise, k=fs.k + 1)
-
-
-def numeric_jacobian(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    scale: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference Jacobian of a vector map, with per-component
-    step ``scale * max(|x_i|, 1)``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
-    J = np.zeros((f0.size, x.size))
-    for i in range(x.size):
-        h = scale * max(abs(x[i]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp = np.atleast_1d(np.asarray(f(xp), dtype=float))
-        fm = np.atleast_1d(np.asarray(f(xm), dtype=float))
-        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
-            raise FilterNumericalError(f"non-finite map sample near x[{i}]")
-        J[:, i] = (fp - fm) / (2.0 * h)
-    return J

@@ -67,11 +67,10 @@ def build_estimator_session(cfg: CaseConfig, trace_covariance: bool = False) -> 
     )
 
 
-def build_surrogate_session(cfg: CaseConfig, generator=None) -> SurrogateSession:
-    """Surrogate side of a case; ``generator`` replaces the case's truth
-    generator (e.g. a :class:`~rtahs.cases.StaticGenerator`)."""
+def build_surrogate_session(cfg: CaseConfig) -> SurrogateSession:
+    """Surrogate side of a case: its truth generator, noise and delay."""
     return SurrogateSession(
-        generator=truth_generator(cfg) if generator is None else generator,
+        generator=truth_generator(cfg),
         dt=cfg.dt,
         disp_noise_std=cfg.surrogate.disp_noise_std,
         force_noise_std=cfg.surrogate.force_noise_std,

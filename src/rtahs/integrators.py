@@ -7,13 +7,16 @@ linear time-invariant cases, scalar RK4 for the nonlinear one), and the
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .dynamics import StructuralMatrices
+
+
+# Newmark average-acceleration parameters (unconditionally stable).
+GAMMA, BETA = 0.5, 0.25
 
 
 class IntegrationError(RuntimeError):
@@ -66,39 +69,24 @@ class TimeSeries:
 class NewmarkSolver:
     """Newmark-beta stepper with the effective stiffness pre-factored.
 
-    For a fixed (M, C, K, dt, gamma, beta) every per-step quantity except
-    the effective force is constant, so repeated stepping reduces to a
-    handful of small mat-vecs.  Defaults are the unconditionally stable
-    average acceleration parameters.
+    For a fixed (M, C, K, dt) every per-step quantity except the
+    effective force is constant, so repeated stepping reduces to a
+    handful of small mat-vecs.  The parameters are GAMMA and BETA.
     """
 
-    def __init__(
-        self,
-        mats: StructuralMatrices,
-        dt: float,
-        gamma: float = 0.5,
-        beta: float = 0.25,
-    ):
+    def __init__(self, mats: StructuralMatrices, dt: float):
         if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        if not (2.0 * beta >= gamma >= 0.5):
-            warnings.warn(
-                f"Newmark parameters gamma={gamma}, beta={beta} are outside the "
-                "unconditional stability region 2*beta >= gamma >= 1/2",
-                stacklevel=2,
-            )
         self.mats = mats
         self.dt = dt
-        self.gamma = gamma
-        self.beta = beta
-        self.a0 = 1.0 / (beta * dt * dt)
-        self.a1 = gamma / (beta * dt)
-        self.a2 = 1.0 / (beta * dt)
-        self.a3 = 1.0 / (2.0 * beta) - 1.0
-        self.a4 = gamma / beta - 1.0
-        self.a5 = dt / 2.0 * (gamma / beta - 2.0)
-        self.a6 = dt * (1.0 - gamma)
-        self.a7 = gamma * dt
+        self.a0 = 1.0 / (BETA * dt * dt)
+        self.a1 = GAMMA / (BETA * dt)
+        self.a2 = 1.0 / (BETA * dt)
+        self.a3 = 1.0 / (2.0 * BETA) - 1.0
+        self.a4 = GAMMA / BETA - 1.0
+        self.a5 = dt / 2.0 * (GAMMA / BETA - 2.0)
+        self.a6 = dt * (1.0 - GAMMA)
+        self.a7 = GAMMA * dt
         k_eff = mats.K + self.a0 * mats.M + self.a1 * mats.C
         self.k_eff_inv = np.linalg.inv(k_eff)
 

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from finite_difference import numeric_jacobian
 from rtahs import cosim, estimators
-from rtahs.aero import heave_jacobian
-from rtahs.cases import nonlinear_heave_deriv, nonlinear_heave_model
+from rtahs.aero import heave_acceleration, heave_jacobian
+from rtahs.cases import nonlinear_heave_model
 from rtahs.config import load_config
 from rtahs.dynamics import DofId, ModalParams, build_state_space
 from rtahs.estimators import (
@@ -28,7 +29,6 @@ from rtahs.estimators import (
     floor_spd,
     forgetting_weight,
     linear_transition_model,
-    numeric_jacobian,
     predict,
     update,
 )
@@ -236,18 +236,6 @@ class TestFilterSteps:
         assert np.linalg.eigvalsh(f.noise.Q)[0] >= PSD_FLOOR - 1e-15
         assert np.linalg.eigvalsh(f.noise.R)[0] >= PSD_FLOOR - 1e-15
 
-    def test_q_update_forms_agree_for_linear_propagation_without_mean(self):
-        # With q = 0 the two increment forms differ only by the input
-        # contribution Gamma u; with u = 0 they coincide.
-        model, fs = self._linear_setup(q_var=1e-8, r_var=1e-8)
-        rng = np.random.default_rng(3)
-        fa = fb = fs
-        for _ in range(30):
-            z = np.array([rng.normal(0.01, 1e-3)])
-            fa = aekf_step(fa, np.zeros(1), z, model, AdaptiveConfig(q_update_form="linearized"))
-            fb = aekf_step(fb, np.zeros(1), z, model, AdaptiveConfig(q_update_form="residual"))
-        assert_allclose(fa.noise.q, fb.noise.q, atol=1e-15)
-
     def test_static_system_converges_to_sample_mean(self):
         # Static state observed in white noise: the filter with no
         # process noise reproduces the running sample mean, whose error
@@ -370,10 +358,7 @@ def textbook_aekf_step(fs, u, z, m, cfg, clamps):
     P_post = floored("P", (np.eye(len(x_prior)) - K @ H) @ P_prior)
     b = cfg.forgetting_factor
     d = (1.0 - b) / (1.0 - b ** (fs.k + 1))
-    if cfg.q_update_form == "linearized":
-        dx = x_post - A @ fs.x
-    else:
-        dx = x_post - (x_prior - n.q)
+    dx = x_post - A @ fs.x
     Ke = K @ innovation
     Q = floored("Q", (1.0 - d) * n.Q + d * (np.outer(Ke, Ke) + P_post - A @ fs.P @ A.T))
     R = floored(
@@ -501,10 +486,11 @@ class TestNumericJacobian:
 
     def test_case2_dynamics_numeric_vs_analytic(self):
         m, om0, D = 182.178, 17.64, 0.175
+        acc = heave_acceleration(m, om0, D)
         rng = np.random.default_rng(5)
         for _ in range(25):
             x = np.array([rng.uniform(0.002, 0.05), rng.uniform(-0.5, 0.5)])
-            J_num = numeric_jacobian(lambda s: nonlinear_heave_deriv(s, 0.0, m, om0, D), x)
+            J_num = numeric_jacobian(lambda s: np.array([s[1], acc(s[0], s[1], 0.0)]), x)
             J_ana = np.array([[0.0, 1.0], heave_jacobian(om0, D)(*x)])
             scale = np.maximum(np.abs(J_ana), 1.0)
             assert np.max(np.abs(J_num - J_ana) / scale) <= 1e-5
@@ -513,12 +499,11 @@ class TestNumericJacobian:
         # The analytic transition Jacobian freezes the continuous
         # Jacobian over the step, so it matches the differentiated
         # sub-stepped map only to O(dt^2).
-        model = nonlinear_heave_model(182.178, 17.64, 0.175, 1e-3, jacobian="analytic")
-        model_num = nonlinear_heave_model(182.178, 17.64, 0.175, 1e-3, jacobian="numeric")
+        model = nonlinear_heave_model(182.178, 17.64, 0.175, 1e-3)
         x = np.array([0.02, 0.1])
         u = np.array([0.5])
         A_ana = model.jac_transition(x, u)
-        A_num = model_num.jac_transition(x, u)
+        A_num = numeric_jacobian(lambda xx: model.propagate(xx, u), x)
         assert np.max(np.abs(A_ana - A_num)) <= 5e-4
 
     def test_nonfinite_sample_raises(self):
@@ -531,5 +516,3 @@ def test_adaptive_config_validation():
         AdaptiveConfig(forgetting_factor=1.0)
     with pytest.raises(ValueError):
         AdaptiveConfig(forgetting_factor=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(q_update_form="other")

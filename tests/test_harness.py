@@ -2,6 +2,7 @@
 configuration files, and the CLI."""
 
 import io
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import yaml
 from numpy.testing import assert_allclose
 
 from rtahs.cases import default_config
+import rtahs.config
 from rtahs.cli import main
 from rtahs.config import ConfigFileError, config_from_dict, load_config
 from rtahs.harness import (
@@ -220,7 +222,7 @@ class TestConfigFiles:
                 "x_hat0": [0.02, 0.1],
             },
             "aero": {"Y1": 11.966, "U": 8.0},
-            "filter": {"process_var": 1e-7, "q_update_form": "residual"},
+            "filter": {"process_var": 1e-7},
             "surrogate": {"disp_noise_std": 1e-6, "delay_tau": 0.05},
             "cosim": {"loss_rate": 0.05, "max_retries": 5},
         }
@@ -234,7 +236,6 @@ class TestConfigFiles:
         assert cfg.x_hat0 == (0.02, 0.1)
         assert cfg.aero.Y1 == 11.966 and cfg.aero.U == 8.0
         assert cfg.filter.process_var == 1e-7
-        assert cfg.filter.q_update_form == "residual"
         assert cfg.surrogate.delay_tau == 0.05
         assert cfg.cosim.loss_rate == 0.05 and cfg.cosim.max_retries == 5
 
@@ -254,6 +255,11 @@ class TestConfigFiles:
             }
         )
         assert custom.coupling.E_s[0, 1] == 1.0
+
+    def test_documented_schema_is_case1_linear_defaults(self):
+        block = rtahs.config.__doc__.split(".. code-block:: yaml")[1]
+        cfg = config_from_dict(yaml.safe_load(textwrap.dedent(block)))
+        assert replace(cfg, coupling=None) == default_config("case1-linear")
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigFileError):
@@ -312,6 +318,14 @@ class TestConfigFiles:
             {"surrogate": {"disp_noise_std": -1.0}},
             {"surrogate": {"force_noise_std": -1e-4}},
             {"surrogate": {"delay_tau": -0.01}},
+            {"filter": {"p0": -1e-10}},
+            {"filter": {"process_var": -1e-5}},
+            {"filter": {"meas_var": -1e-5}},
+            {"filter": {"meas_var": 0.0}},
+            {"filter": {"meas_var": float("nan")}},
+            {"filter": {"process_var": float("inf")}},
+            {"filter": {"jacobian": "numeric"}},
+            {"filter": {"q_update_form": "residual"}},
         ):
             with pytest.raises(ConfigFileError):
                 config_from_dict({"case": "case1-linear", **bad})
@@ -387,6 +401,21 @@ class TestCli:
         cfgfile.write_text("case: case1-linear\nt_end: 1.0\n")
         rc = main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert rc == 0
+
+    def test_run_takes_exactly_one_of_case_and_config(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text("case: case1-linear\nt_end: 1.0\n")
+        out = tmp_path / "out"
+        for flags in (
+            ["--config", str(cfgfile), "--case", "case1-nonlinear"],
+            ["--config", str(cfgfile), "--case", "case1-linear"],
+            [],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", *flags, "--out", str(out)])
+            assert exc.value.code == 2
+        assert not out.exists()
+        assert "--case" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         cfgfile = tmp_path / "bad.yaml"
