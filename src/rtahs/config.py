@@ -3,11 +3,12 @@
 A config file selects a shipped case and overrides any subset of its
 fields; unknown keys, non-mapping sections and values of another type
 than the default's are rejected (an int may stand for a float, a bool
-never for a number), and so are out-of-range values: ``filter.p0`` and
-``filter.process_var`` must be finite and non-negative,
-``filter.meas_var`` finite and positive, ``cosim.timeout`` positive,
-``cosim.max_retries`` non-negative, ``cosim.loss_rate`` in [0, 1) and
-the surrogate's noise scales and delay non-negative.  The full schema
+never for a number; ``1e-5`` is a float, as in YAML 1.2), and so are
+out-of-range values: ``filter.p0`` and ``filter.process_var`` must be
+finite and non-negative, ``filter.meas_var`` finite and positive,
+``cosim.timeout`` positive, ``cosim.max_retries`` non-negative,
+``cosim.loss_rate`` in [0, 1) and the surrogate's noise scales and delay
+non-negative.  The full schema
 (all values shown are the ``case1-linear`` defaults):
 
 .. code-block:: yaml
@@ -64,6 +65,7 @@ the surrogate's noise scales and delay non-negative.  The full schema
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
@@ -84,6 +86,16 @@ from .dynamics import DofId, ModalParams
 
 class ConfigFileError(ValueError):
     """Malformed or inconsistent configuration input."""
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 as ``yaml.safe_load`` reads it, except that an exponent
+    without a dot (``1e-5``) is a float, as in YAML 1.2, not a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), list("-+0123456789")
+)
 
 
 _TOP_KEYS = {
@@ -238,7 +250,7 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
 
 def load_config(path: str | Path) -> CaseConfig:
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.load(Path(path).read_text(), Loader=_Loader)
     except OSError as exc:
         raise ConfigFileError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -6,9 +6,12 @@ and packet-loss fault injection.
 The loop is strictly alternating: the surrogate opens every step with a
 MEASUREMENT and blocks until the matching COMMAND arrives, so with the
 resend policy the coupled result is deterministic even though UDP is
-not.  Both endpoints share their per-step numerical work with the
-in-process runner, which is what makes the UDP-split and monolithic
-loops agree to the last bit when no faults are injected.
+not.  ``SurrogateSession.run`` is the one step loop of both modes.  Over
+UDP the surrogate sends each measurement with ``request``, resending it
+until its reply comes, and the server takes it with ``answer``, which
+re-replies only to the frame it last answered and drops every other.  So
+the UDP-split and monolithic loops agree to the last bit under any
+recoverable loss.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,6 +56,12 @@ RTO_MIN = 0.002
 RTT_ALPHA = 1 / 8  # gain of the smoothed round trip (RFC 6298)
 RTT_BETA = 1 / 4  # gain of its mean deviation
 JOIN_TIMEOUT = 10.0  # seconds run_udp_pair waits for the surrogate thread
+
+
+def _last_good_step(want_seq: int) -> Optional[int]:
+    """The step completed before frame ``want_seq`` was due (frame k + 1
+    carries step k), None before the first."""
+    return want_seq - 2 if want_seq >= 2 else None
 
 
 class SessionError(RuntimeError):
@@ -123,7 +132,7 @@ class SessionStats:
     sent: int = 0  # frames handed to the transport, including suppressed ones
     lost: int = 0  # frames suppressed by the loss injector
     received: int = 0  # valid frames accepted and processed
-    stale: int = 0  # frames with a sequence number below expectation, dropped
+    stale: int = 0  # out-of-sequence frames, dropped
     duplicates: int = 0  # repeats of the last processed sequence number
     decode_errors: int = 0
     retries: int = 0  # resends of our own last outbound frame
@@ -147,22 +156,13 @@ class LockstepConfig:
         return sample_count(self.t_end, self.dt)
 
     @property
-    def dof_mask(self) -> int:
-        mask = 0
-        for d in self.dofs:
-            mask |= 1 << int(d)
-        return mask
-
-    @property
-    def estimator_id(self) -> int:
-        return ESTIMATOR_IDS[self.estimator]
-
-    def matches(self, hs: Handshake) -> bool:
-        return (
-            hs.dt == self.dt
-            and hs.t_end == self.t_end
-            and hs.dof_mask == self.dof_mask
-            and hs.estimator_id == self.estimator_id
+    def handshake(self) -> Handshake:
+        """The session this config proposes, and the only one it accepts."""
+        return Handshake(
+            dt=self.dt,
+            t_end=self.t_end,
+            dof_mask=sum(1 << int(d) for d in set(self.dofs)),
+            estimator_id=ESTIMATOR_IDS[self.estimator],
         )
 
 
@@ -280,7 +280,7 @@ class LockstepEndpoint:
                     raise SessionError(
                         f"no reply to {outbound.msg_type.name} seq {outbound.seq} "
                         f"within {budget * 1e3:.4g} ms ({resends} resends)",
-                        last_good_step=want_seq - 2,
+                        last_good_step=_last_good_step(want_seq),
                     )
                 self.lossy = True
                 self.timer.rto = wait = min(2 * wait, self.timeout)
@@ -302,6 +302,35 @@ class LockstepEndpoint:
                 return frame
             # a zero timeout would make the socket non-blocking
             remaining = max(expiry - clock(), 1e-6)
+
+    def answer(
+        self, reply: Optional[Frame], want_type: MsgType, want_seq: int, max_timeouts: int
+    ) -> Frame:
+        """Send ``reply``, the answer to frame ``want_seq - 1`` (None
+        before the handshake), and wait for frame ``want_seq`` of
+        ``want_type``.  Frame ``want_seq - 1`` again means the reply was
+        lost: it is resent.  Every other frame is stale and dropped, and
+        ``max_timeouts`` silent waits of ``timeout`` end the session."""
+        if reply is not None:
+            self.send(reply)
+        silent = 0
+        while True:
+            frame = self.recv(self.timeout)
+            if frame is None:
+                silent += 1
+                if silent >= max_timeouts:
+                    raise SessionError(
+                        "peer went silent", last_good_step=_last_good_step(want_seq)
+                    )
+            elif frame.seq == want_seq - 1:
+                self.stats.duplicates += 1
+                self.stats.retries += 1
+                self.send(reply)
+            elif frame.msg_type != want_type or frame.seq != want_seq:
+                self.stats.stale += 1
+            else:
+                self.stats.received += 1
+                return frame
 
 
 class EstimatorSession:
@@ -416,19 +445,24 @@ class SurrogateSession:
     def advance(self) -> None:
         self.generator.advance()
 
+    def run(self, n_samples: int, n_dofs: int, exchange) -> None:
+        """The step loop of both modes: measure step k, apply the command
+        displacements ``exchange(k, forces, disps)`` returns, and advance
+        the truth except after the last sample."""
+        self.prepare(n_samples, n_dofs)
+        for k in range(n_samples):
+            forces, disps = self.measure(k)
+            self.apply_command(exchange(k, forces, disps))
+            if k < n_samples - 1:
+                self.advance()
+
 
 def run_in_process(
     est: EstimatorSession, sur: SurrogateSession, n_samples: int
 ) -> TimeSeries:
-    """Monolithic loop: identical step semantics to the UDP pair, with
-    the frames elided."""
-    sur.prepare(n_samples, len(est.dofs))
-    for k in range(n_samples):
-        forces, disps = sur.measure(k)
-        cmd = est.process(k, forces, disps)
-        sur.apply_command(cmd)
-        if k < n_samples - 1:
-            sur.advance()
+    """Monolithic loop: the surrogate's step loop exchanging with the
+    estimator directly instead of through frames."""
+    sur.run(n_samples, len(est.dofs), est.process)
     return est.series()
 
 
@@ -465,40 +499,6 @@ class NumericalServer:
     def stats(self) -> SessionStats:
         return self.endpoint.stats
 
-    def _wait_for(
-        self,
-        accept: Callable[[Frame], Optional[str]],
-        step: int,
-        max_timeouts: Optional[int] = None,
-    ) -> Frame:
-        """Wait for the next frame to process, honoring duplicates and
-        staleness.  ``accept`` returns None to accept, "dup" to resend
-        the last reply, "stale" to drop."""
-        ep = self.endpoint
-        if max_timeouts is None:
-            max_timeouts = self.cfg.max_retries + 2
-        attempts = 0
-        while True:
-            frame = ep.recv(ep.timeout)
-            if frame is None:
-                attempts += 1
-                if attempts >= max_timeouts:
-                    raise SessionError(
-                        "peer went silent", last_good_step=step - 1
-                    )
-                continue
-            verdict = accept(frame)
-            if verdict is None:
-                ep.stats.received += 1
-                return frame
-            if verdict == "dup":
-                ep.stats.duplicates += 1
-                if self._last_reply is not None:
-                    ep.stats.retries += 1
-                    ep.send(self._last_reply)
-                continue
-            ep.stats.stale += 1
-
     def run(self) -> TimeSeries:
         try:
             return self._run()
@@ -513,80 +513,32 @@ class NumericalServer:
         cfg = self.cfg
         ep = self.endpoint
         n_samples = cfg.n_samples
-        self._last_reply: Optional[Frame] = None
-
-        def accept_handshake(frame: Frame) -> Optional[str]:
-            if frame.msg_type == MsgType.HANDSHAKE and frame.seq == 0:
-                return None
-            return "stale"
-
+        budget = cfg.max_retries + 2
         hs_budget = max(2, int(np.ceil(self.handshake_timeout / cfg.timeout)))
-        hs_frame = self._wait_for(accept_handshake, step=0, max_timeouts=hs_budget)
+        # The HANDSHAKE and the SHUTDOWN are acknowledged by their echo.
+        reply = ep.answer(None, MsgType.HANDSHAKE, 0, hs_budget)
         ep.peer, ep.pinned = ep.source, True
-        if not cfg.matches(hs_frame.handshake):
+        if reply.handshake != cfg.handshake:
             raise SessionError(
-                f"handshake mismatch: peer proposed {hs_frame.handshake}, "
-                f"expected dt={cfg.dt}, t_end={cfg.t_end}, "
-                f"mask={cfg.dof_mask}, estimator={cfg.estimator}"
+                f"handshake mismatch: peer proposed {reply.handshake}, "
+                f"expected {cfg.handshake}"
             )
-        reply = Frame(
-            msg_type=MsgType.HANDSHAKE,
-            dof_count=len(cfg.dofs),
-            seq=0,
-            sim_time=0.0,
-            handshake=hs_frame.handshake,
-        )
-        ep.send(reply)
-        self._last_reply = reply
-
         for k in range(n_samples):
-            seq = k + 1
-
-            def accept_measurement(frame: Frame, _seq=seq) -> Optional[str]:
-                if frame.msg_type == MsgType.HANDSHAKE:
-                    return "dup"  # our handshake echo was lost
-                if frame.msg_type != MsgType.MEASUREMENT:
-                    return "stale"
-                if frame.seq == _seq:
-                    return None
-                if frame.seq == _seq - 1:
-                    return "dup"
-                return "stale"
-
-            meas = self._wait_for(accept_measurement, step=k)
+            meas = ep.answer(reply, MsgType.MEASUREMENT, k + 1, budget)
             cmd = self.session.process(
                 k, np.asarray(meas.forces), np.asarray(meas.displacements)
             )
             reply = Frame(
                 msg_type=MsgType.COMMAND,
                 dof_count=len(cfg.dofs),
-                seq=seq,
+                seq=k + 1,
                 sim_time=k * cfg.dt,
                 displacements=tuple(cmd),
             )
-            ep.send(reply)
-            self._last_reply = reply
 
         # Final SHUTDOWN exchange; losing it does not affect the data.
-        final_seq = n_samples + 1
-
-        def accept_shutdown(frame: Frame) -> Optional[str]:
-            if frame.msg_type == MsgType.SHUTDOWN and frame.seq == final_seq:
-                return None
-            if frame.msg_type == MsgType.MEASUREMENT and frame.seq == n_samples:
-                return "dup"
-            return "stale"
-
         try:
-            self._wait_for(accept_shutdown, step=n_samples)
-            ep.send(
-                Frame(
-                    msg_type=MsgType.SHUTDOWN,
-                    dof_count=len(cfg.dofs),
-                    seq=final_seq,
-                    sim_time=cfg.t_end,
-                )
-            )
+            ep.send(ep.answer(reply, MsgType.SHUTDOWN, n_samples + 1, budget))
         except SessionError:
             pass  # all exchanges complete; peer already gone
         return self.session.series()
@@ -617,37 +569,29 @@ class SurrogateRunner:
         cfg = self.cfg
         ep = self.endpoint
         n_dofs = len(cfg.dofs)
+
+        def exchange(k: int, forces: np.ndarray, disps: np.ndarray) -> tuple[float, ...]:
+            meas = Frame(
+                msg_type=MsgType.MEASUREMENT,
+                dof_count=n_dofs,
+                seq=k + 1,
+                sim_time=k * cfg.dt,
+                forces=tuple(forces),
+                displacements=tuple(disps),
+            )
+            return ep.request(meas, MsgType.COMMAND, k + 1).displacements
+
         hs = Frame(
             msg_type=MsgType.HANDSHAKE,
             dof_count=n_dofs,
             seq=0,
             sim_time=0.0,
-            handshake=Handshake(
-                dt=cfg.dt,
-                t_end=cfg.t_end,
-                dof_mask=cfg.dof_mask,
-                estimator_id=cfg.estimator_id,
-            ),
+            handshake=cfg.handshake,
         )
         try:
             ep.request(hs, MsgType.HANDSHAKE, 0)
             ep.peer, ep.pinned = ep.source, True
-            self.session.prepare(cfg.n_samples, n_dofs)
-            for k in range(cfg.n_samples):
-                seq = k + 1
-                forces, disps = self.session.measure(k)
-                meas = Frame(
-                    msg_type=MsgType.MEASUREMENT,
-                    dof_count=n_dofs,
-                    seq=seq,
-                    sim_time=k * cfg.dt,
-                    forces=tuple(forces),
-                    displacements=tuple(disps),
-                )
-                command = ep.request(meas, MsgType.COMMAND, seq)
-                self.session.apply_command(np.asarray(command.displacements))
-                if k < cfg.n_samples - 1:
-                    self.session.advance()
+            self.session.run(cfg.n_samples, n_dofs, exchange)
 
             bye = Frame(
                 msg_type=MsgType.SHUTDOWN,

@@ -13,12 +13,13 @@ from numpy.testing import assert_allclose
 
 from rtahs.aero import linear_se_force
 from rtahs.cases import EchoGenerator, default_config
-from rtahs import cosim
+from rtahs import cosim, harness
 from rtahs.cosim import (
     RTO_MIN,
     DelayLine,
     LockstepEndpoint,
     LossInjector,
+    NumericalServer,
     RetransmitTimer,
     SessionError,
     SurrogateRunner,
@@ -154,17 +155,27 @@ class TestSessions:
             m = compare_series(mono, udp, ch)
             assert m.rms_error <= 1e-9 * max(1.0, np.abs(mono.channel(ch)).max())
 
-    @pytest.mark.parametrize("case", ["case1-linear", "case1-nonlinear", "case2dof"])
-    def test_mode_equivalence_all_cases(self, case):
+    @pytest.mark.parametrize(
+        "case, loss_rate",
+        [
+            pytest.param(case, loss_rate, id=f"{case}-lossy" if loss_rate else case)
+            for loss_rate in (0.0, 0.05)
+            for case in ("case1-linear", "case1-nonlinear", "case2dof")
+        ],
+    )
+    def test_mode_equivalence_all_cases(self, case, loss_rate):
+        # 5% loss per endpoint with a 10 ms timeout is recoverable, and a
+        # recovered session must give the clean trajectory bit for bit
         cfg = default_config(case, t_end=1.0)
         mono, _, _, _ = run_loop(cfg)
-        udp, _, _, _ = run_loop(replace(cfg, mode="udp"))
-        for d in cfg.dofs:
-            ref = mono.channel(f"x_{d.label}")
-            test = udp.channel(f"x_{d.label}")
-            scale = max(np.sqrt(np.mean(ref**2)), 1e-30)
-            nrms = np.sqrt(np.mean((ref - test) ** 2)) / scale
-            assert nrms <= 1e-9
+        if loss_rate:
+            cfg = replace(cfg, cosim=replace(cfg.cosim, loss_rate=loss_rate, timeout=0.01))
+        udp, sstats, pstats, _ = run_loop(replace(cfg, mode="udp"))
+        assert mono.channels == udp.channels
+        for ch in mono.channels:
+            assert np.array_equal(mono.channel(ch), udp.channel(ch)), ch
+        if loss_rate:
+            assert sstats.lost > 0 and pstats.lost > 0
 
     def test_loss_recovery_trajectory_unchanged(self):
         cfg0, est0, sur0 = zero_session(n_samples=200)
@@ -240,7 +251,7 @@ class TestSessions:
         import threading
 
         from rtahs.cosim import NumericalServer
-        from rtahs.wire import Frame, Handshake, MsgType, decode_frame, encode_frame
+        from rtahs.wire import Frame, MsgType, decode_frame, encode_frame
 
         cfg, est, sur = zero_session(n_samples=50)
         lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)
@@ -255,12 +266,7 @@ class TestSessions:
                 dof_count=1,
                 seq=0,
                 sim_time=0.0,
-                handshake=Handshake(
-                    dt=lcfg.dt,
-                    t_end=lcfg.t_end,
-                    dof_mask=lcfg.dof_mask,
-                    estimator_id=lcfg.estimator_id,
-                ),
+                handshake=lcfg.handshake,
             )
             sock.sendto(encode_frame(hs), addr)
             sock.recvfrom(65535)
@@ -369,8 +375,9 @@ class TestSessions:
         # Nothing answers the handshake: with no round-trip sample yet the
         # retransmission timeout is the whole timeout, as it always was.
         runner = SurrogateRunner(lcfg, sur, ("127.0.0.1", 9))  # discard port
-        with pytest.raises(SessionError):
+        with pytest.raises(SessionError) as err:
             runner.run()
+        assert err.value.last_good_step is None
         assert runner.stats.retries == lcfg.max_retries
         assert runner.sock.fileno() == -1
 
@@ -417,6 +424,90 @@ class TestSessions:
         assert failed_at - measurements[0] >= budget
         assert len(measurements) - 1 > lcfg.max_retries
         assert measurements[-1] - measurements[0] < budget
+
+    def test_server_without_peer_raises_with_no_good_step(self):
+        cfg, est, _ = zero_session()
+        lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)
+        server = NumericalServer(lcfg, est, handshake_timeout=0.05)
+        with pytest.raises(SessionError, match="peer went silent") as err:
+            server.run()
+        assert err.value.last_good_step is None
+        assert len(err.value.partial_series) == 0
+
+    def test_late_handshake_repeat_is_stale(self):
+        # The server re-replies only to the frame it last answered.  A
+        # HANDSHAKE repeated after two exchanges is not that frame: it is
+        # dropped, and MEASUREMENT 3 gets COMMAND 3 as its next reply.
+        cfg, est, _ = zero_session(n_samples=4)
+        lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)
+        server = NumericalServer(lcfg, est)
+        hs = Frame(
+            msg_type=MsgType.HANDSHAKE, dof_count=1, seq=0, sim_time=0.0,
+            handshake=lcfg.handshake,
+        )
+        bye = Frame(msg_type=MsgType.SHUTDOWN, dof_count=1, seq=5, sim_time=lcfg.t_end)
+        replies = []
+
+        def peer():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.settimeout(2.0)
+                for frame in (hs, *map(measurement, range(1, 5)), bye):
+                    if frame.seq == 3:
+                        sock.sendto(encode_frame(hs), server.address)  # the late repeat
+                    sock.sendto(encode_frame(frame), server.address)
+                    replies.append(decode_frame(sock.recvfrom(65535)[0]))
+
+        thread = threading.Thread(target=peer, daemon=True)
+        thread.start()
+        series = server.run()
+        thread.join(timeout=5.0)
+        assert [(f.msg_type, f.seq) for f in replies] == [
+            (MsgType.HANDSHAKE, 0),
+            (MsgType.COMMAND, 1),
+            (MsgType.COMMAND, 2),
+            (MsgType.COMMAND, 3),
+            (MsgType.COMMAND, 4),
+            (MsgType.SHUTDOWN, 5),
+        ]
+        assert len(series) == 4
+        st = server.stats
+        assert (st.stale, st.duplicates, st.retries) == (1, 0, 0)
+
+    @pytest.mark.parametrize("mode", ["in-process", "udp"])
+    def test_benchmark_hooks_see_every_step(self, monkeypatch, mode):
+        # bench/spans.py and bench/workloads.py time a run by patching
+        # these names; a loop that went round one would stop the bench
+        calls = {}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for owner, name in (
+            (cosim.SurrogateSession, "prepare"),
+            (cosim.SurrogateSession, "measure"),
+            (cosim.SurrogateSession, "advance"),
+            (cosim.EstimatorSession, "process"),
+            (cosim.LockstepEndpoint, "request"),
+            (cosim, "encode_frame"),
+            (cosim, "decode_frame"),
+            (harness, "run_in_process"),
+            (harness, "run_udp_pair"),
+        ):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        cfg = default_config("case1-linear", t_end=0.2)
+        n = cfg.n_samples
+        run_loop(replace(cfg, mode=mode))
+        assert calls["prepare"] == 1 and calls["advance"] == n - 1
+        assert calls["measure"] == n and calls["process"] == n
+        if mode == "udp":
+            assert calls["run_udp_pair"] == 1 and calls["request"] == n + 2
+            assert calls["encode_frame"] > 0 and calls["decode_frame"] > 0
+        else:
+            assert calls["run_in_process"] == 1
 
     def test_surrogate_still_running_has_its_socket_closed(self, monkeypatch):
         # The surrogate stalls on its last command until released, so the

@@ -238,6 +238,11 @@ class TestConfigFiles:
         assert cfg.filter.process_var == 1e-7
         assert cfg.surrogate.delay_tau == 0.05
         assert cfg.cosim.loss_rate == 0.05 and cfg.cosim.max_retries == 5
+        # an exponent without a dot is a float, as in YAML 1.2
+        path.write_text("case: case1-linear\nseed: 7\nfilter: {meas_var: 1e-5, p0: 2E+0}\n")
+        cfg = load_config(path)
+        assert cfg.filter.meas_var == 1e-5 and cfg.filter.p0 == 2.0
+        assert cfg.seed == 7 and isinstance(cfg.seed, int)
 
     def test_coupling_variants(self):
         cfg = config_from_dict({"case": "case2dof", "coupling": {"variant": "divergent"}})
@@ -528,3 +533,49 @@ class TestCli:
         t.join(timeout=10.0)
         assert rcs["physical"] == 0
         assert len(series) == 201
+
+    def test_serve_and_physical_give_the_run_trajectory(self, tmp_path, monkeypatch):
+        # the two-process deployment, one endpoint per CLI call on its own
+        # thread: the server's trajectory is the in-process run's, byte
+        # for byte
+        import socket
+        import threading
+
+        from rtahs import cosim
+
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text("case: case1-linear\nt_end: 0.5\n")
+        bound = threading.Event()
+
+        class BoundServer(cosim.NumericalServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                bound.set()
+
+        monkeypatch.setattr(cosim, "NumericalServer", BoundServer)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            probe.bind(("127.0.0.1", 0))
+            addr = "127.0.0.1:%d" % probe.getsockname()[1]
+        rcs = {}
+
+        def call(name, *args):
+            rcs[name] = main([name, *args, "--config", str(cfgfile)])
+
+        serve = threading.Thread(
+            target=call, args=("serve", "--bind", addr, "--out", str(tmp_path / "serve")),
+            daemon=True,
+        )
+        physical = threading.Thread(
+            target=call, args=("physical", "--connect", addr), daemon=True
+        )
+        serve.start()
+        assert bound.wait(timeout=10.0)
+        physical.start()
+        for thread in (physical, serve):
+            thread.join(timeout=30.0)
+        assert rcs == {"serve": 0, "physical": 0}
+        run = tmp_path / "run"
+        rc = main(["run", "--config", str(cfgfile), "--mode", "in-process", "--out", str(run)])
+        assert rc == 0
+        served = (tmp_path / "serve" / "rtahs.csv").read_bytes()
+        assert served == (run / "rtahs.csv").read_bytes()
