@@ -15,7 +15,6 @@ from .aero import (
 from .cases import CaseConfig, default_config
 from .config import ConfigFileError, config_from_dict, load_config
 from .cosim import (
-    DelayLine,
     EstimatorSession,
     LockstepConfig,
     LossInjector,
@@ -34,7 +33,6 @@ from .dynamics import (
     discretize_zoh,
 )
 from .estimators import (
-    AdaptiveConfig,
     FilterNumericalError,
     FilterState,
     NoiseStats,

@@ -32,15 +32,14 @@ class AeroParams:
     """Wind, geometry and aeroelastic coefficients for the heave force models.
 
     rho: air density (kg/m^3); U: wind speed (m/s); D: section height (m);
-    B: section width (m); Y1, Y2, eps: dimensionless aeroelastic
-    coefficients; CL_tilde: vortex-shedding force amplitude; omega_vs:
-    vortex-shedding circular frequency (rad/s); psi: shedding phase (rad).
+    Y1, Y2, eps: dimensionless aeroelastic coefficients; CL_tilde:
+    vortex-shedding force amplitude; omega_vs: vortex-shedding circular
+    frequency (rad/s); psi: shedding phase (rad).
     """
 
     rho: float
     U: float
     D: float
-    B: float = 0.0
     Y1: float = 0.0
     Y2: float = 0.0
     eps: float = 0.0

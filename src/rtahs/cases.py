@@ -45,7 +45,6 @@ from .dynamics import (
 )
 from .estimators import (
     DEFAULT_FORGETTING_FACTOR,
-    AdaptiveConfig,
     FilterState,
     NoiseStats,
     TransitionModel,
@@ -53,9 +52,10 @@ from .estimators import (
 )
 from .integrators import (
     LinearStepper,
-    NewmarkSolver,
     ScalarRk4Stepper,
     Stepper,
+    newmark_matrix,
+    rk4_scalar_2nd,
     rk4_step,
     sample_count,
 )
@@ -82,13 +82,12 @@ COUPLING_DIVERGENT = CoupledSeMatrices(
 
 @dataclass(frozen=True)
 class FilterSettings:
-    """Initial filter statistics and adaptive-loop knobs."""
+    """Initial filter statistics and adaptive-loop knobs.  The adapted
+    noise means start from zero."""
 
     p0: float = 1e-10
     process_var: float = 1e-8
     meas_var: float = 1e-8
-    process_mean: float = 0.0
-    meas_mean: float = 0.0
     forgetting_factor: float = DEFAULT_FORGETTING_FACTOR
     adapt_enabled: bool = True
 
@@ -100,6 +99,9 @@ class FilterSettings:
         # A positive R keeps the innovation covariance H P H' + R invertible.
         if not (math.isfinite(self.meas_var) and self.meas_var > 0):
             raise ValueError(f"meas_var must be finite and > 0, got {self.meas_var}")
+        # Step k of the covariance matching weighs (1-b)/(1-b^k).
+        if not 0.0 < self.forgetting_factor < 1.0:
+            raise ValueError(f"forgetting_factor must be in (0, 1), got {self.forgetting_factor}")
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,6 @@ def _case1_aero(Y1: float = 6.5) -> AeroParams:
         rho=1.25,
         U=9.1,
         D=0.175,
-        B=0.0,
         Y1=Y1,
         Y2=-2.194,
         eps=0.5,
@@ -336,26 +337,21 @@ def _case1_nonlinear_scalar(cfg: CaseConfig):
 def case_stepper(cfg: CaseConfig) -> Stepper:
     """The one integrator of a case's dynamics at its initial state, which
     the oracle samples and the surrogate truth steps.  The nonlinear case
-    runs scalar RK4.  A linear case is one matrix step: one step of its
-    method applied to the identity columns of [x; v], Newmark on the
-    folded matrices (M, C - E_d, K - E_s) for case1-linear and RK4 on
-    :func:`linear_state_matrix` for case2dof."""
+    runs scalar RK4.  A linear case is one matrix step on [x; v]:
+    :func:`newmark_matrix` of the folded matrices (M, C - E_d, K - E_s)
+    for case1-linear, and one RK4 step of :func:`linear_state_matrix`
+    applied to the identity columns of [x; v] for case2dof."""
     x0 = np.asarray(cfg.x0_disp, float)
     v0 = np.asarray(cfg.x0_vel, float)
     if cfg.case == "case1-nonlinear":
         acc_s, force_s = _case1_nonlinear_scalar(cfg)
         return ScalarRk4Stepper(acc_s, force_s, cfg.dt, x0, v0)
     mats, E_d, E_s = _linear_system(cfg)
-    n = mats.n
-    identity = np.eye(2 * n)
     if cfg.case == "case1-linear":
-        solver = NewmarkSolver(replace(mats, C=mats.C - E_d, K=mats.K - E_s), cfg.dt)
-        x, v, zero = identity[:n], identity[n:], np.zeros((n, 1))
-        acc = solver.initial_acceleration(x, v, zero)
-        T = np.vstack(solver.step_arrays(x, v, acc, zero)[:2])
+        T = newmark_matrix(replace(mats, C=mats.C - E_d, K=mats.K - E_s), cfg.dt)
     else:
         A = linear_state_matrix(cfg)
-        T = rk4_step(lambda t, y: A @ y, identity, 0.0, cfg.dt)
+        T = rk4_step(lambda t, y: A @ y, np.eye(2 * mats.n), 0.0, cfg.dt)
     return LinearStepper(T, np.hstack((E_s, E_d)), cfg.dt, x0, v0)
 
 
@@ -378,26 +374,20 @@ def truth_generator(cfg: CaseConfig):
 def nonlinear_heave_model(inertia: float, omega0: float, D: float, dt: float) -> TransitionModel:
     """Transition model for the amplitude-dependent heave oscillator:
     RK4 propagation in four sub-steps under a held force input, the
-    analytic transition Jacobian, observation of the displacement."""
+    analytic transition Jacobian, observation of the displacement.
+    ``propagate`` raises :class:`IntegrationError` on a non-finite
+    state."""
     substeps = 4
     h_sub = dt / substeps
-    half, sixth = 0.5 * h_sub, h_sub / 6.0
     _acc = heave_acceleration(inertia, omega0, D)
 
     def propagate(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        x1, x2 = float(x[0]), float(x[1])
+        h, v = float(x[0]), float(x[1])
         uu = float(u[0])
+        acc = lambda t, h, v: _acc(h, v, uu)
         for _ in range(substeps):
-            k1v = _acc(x1, x2, uu)
-            k2h = x2 + half * k1v
-            k2v = _acc(x1 + half * x2, k2h, uu)
-            k3h = x2 + half * k2v
-            k3v = _acc(x1 + half * k2h, k3h, uu)
-            k4h = x2 + h_sub * k3v
-            k4v = _acc(x1 + h_sub * k3h, k4h, uu)
-            x1 += sixth * (x2 + 2.0 * k2h + 2.0 * k3h + k4h)
-            x2 += sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        return np.array([x1, x2])
+            h, v = rk4_scalar_2nd(acc, h, v, 0.0, h_sub)
+        return np.array([h, v])
 
     jac = heave_jacobian(omega0, D)
 
@@ -453,14 +443,7 @@ def filter_model(cfg: CaseConfig) -> TransitionModel:
 
 def initial_filter_state(cfg: CaseConfig, model: TransitionModel) -> FilterState:
     m, n = model.H.shape
-    noise = NoiseStats.diagonal(
-        n,
-        m,
-        q_var=cfg.filter.process_var,
-        r_var=cfg.filter.meas_var,
-        q_mean=cfg.filter.process_mean,
-        r_mean=cfg.filter.meas_mean,
-    )
+    noise = NoiseStats.diagonal(n, m, q_var=cfg.filter.process_var, r_var=cfg.filter.meas_var)
     if cfg.x_hat0 is None:
         x0 = np.zeros(n)
         x0[0::2] = cfg.x0_disp
@@ -471,9 +454,3 @@ def initial_filter_state(cfg: CaseConfig, model: TransitionModel) -> FilterState
             raise ValueError(f"x_hat0 must have {n} entries")
     return FilterState(x=x0, P=np.eye(n) * cfg.filter.p0, noise=noise, k=0)
 
-
-def adaptive_config(cfg: CaseConfig) -> AdaptiveConfig:
-    return AdaptiveConfig(
-        forgetting_factor=cfg.filter.forgetting_factor,
-        enabled=cfg.filter.adapt_enabled,
-    )

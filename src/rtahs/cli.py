@@ -4,8 +4,9 @@ Subcommands: ``run`` (full case: loop + oracle + metrics + artifacts),
 ``serve``/``physical`` (one endpoint of a UDP session each), ``compare``
 (metrics between two CSV artifacts), and ``delay-study``.
 
-Exit codes: 0 success, 2 configuration error, 3 session error,
-4 success with divergence-truncated series (informational).
+Exit codes: 0 success, 2 configuration or input error (including a file
+that cannot be read and an address that cannot be bound), 3 session
+error, 4 success with divergence-truncated series (informational).
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigFileError, ValueError) as exc:
+    except (ConfigFileError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SessionError as exc:

@@ -6,9 +6,9 @@ than the default's are rejected (an int may stand for a float, a bool
 never for a number; ``1e-5`` is a float, as in YAML 1.2), and so are
 out-of-range values: ``filter.p0`` and ``filter.process_var`` must be
 finite and non-negative, ``filter.meas_var`` finite and positive,
-``cosim.timeout`` positive, ``cosim.max_retries`` non-negative,
-``cosim.loss_rate`` in [0, 1) and the surrogate's noise scales and delay
-non-negative.  The full schema
+``filter.forgetting_factor`` in (0, 1), ``cosim.timeout`` positive,
+``cosim.max_retries`` non-negative, ``cosim.loss_rate`` in [0, 1) and
+the surrogate's noise scales and delay non-negative.  The full schema
 (all values shown are the ``case1-linear`` defaults):
 
 .. code-block:: yaml
@@ -33,7 +33,6 @@ non-negative.  The full schema
       rho: 1.25
       U: 9.1
       D: 0.175
-      B: 0.0
       Y1: 6.5
       Y2: -2.194
       eps: 0.5
@@ -48,8 +47,6 @@ non-negative.  The full schema
       p0: 1.0e-10
       process_var: 1.0e-05
       meas_var: 1.0e-05
-      process_mean: 0.0
-      meas_mean: 0.0
       forgetting_factor: 0.96
       adapt_enabled: true
     surrogate:

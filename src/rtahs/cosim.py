@@ -22,13 +22,13 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import DofId
 from .estimators import (
-    AdaptiveConfig,
     FilterState,
     TransitionModel,
     aekf_step,
@@ -78,38 +78,6 @@ class SessionError(RuntimeError):
         super().__init__(message)
         self.last_good_step = last_good_step
         self.partial_series = partial_series
-
-
-class DelayLine:
-    """Pure transport delay with zero-order hold.
-
-    ``apply(t, sample)`` buffers the new sample and returns the newest
-    buffered sample timestamped at or before ``t - tau``; before the
-    delayed horizon reaches the first sample, that first sample is
-    held.  Query times must be non-decreasing.
-    """
-
-    def __init__(self, tau: float):
-        if tau < 0:
-            raise ValueError(f"delay must be >= 0, got {tau}")
-        self.tau = tau
-        self._buf: deque = deque()
-        self._last_t: Optional[float] = None
-
-    def apply(self, t: float, sample):
-        if self._last_t is not None and t < self._last_t:
-            raise ValueError(f"query times must be non-decreasing ({t} < {self._last_t})")
-        self._last_t = t
-        self._buf.append((t, sample))
-        # Slack absorbs accumulated grid rounding so that tau equal to a
-        # whole number of sample intervals shifts by exactly that many
-        # samples.
-        horizon = t - self.tau + 1e-9 * max(1.0, abs(t))
-        # Drop entries that can never be the answer again: everything
-        # strictly older than the newest entry at or before the horizon.
-        while len(self._buf) >= 2 and self._buf[1][0] <= horizon:
-            self._buf.popleft()
-        return self._buf[0][1]
 
 
 class LossInjector:
@@ -341,28 +309,28 @@ class EstimatorSession:
     only updates the configured initial state, later samples are
     predicted forward with the previous step's force (held over the
     interval) before the update.  The commanded target is the posterior
-    displacement estimate.
+    displacement estimate.  The step is the EKF's (on a linear model, the
+    Kalman filter's), or with a ``forgetting_factor`` the adaptive EKF's.
     """
 
     def __init__(
         self,
         model: TransitionModel,
         init: FilterState,
-        estimator: str,
         dofs: tuple[DofId, ...],
         dt: float,
         n_samples: int,
-        adaptive: Optional[AdaptiveConfig] = None,
+        forgetting_factor: Optional[float] = None,
         trace_covariance: bool = False,
     ):
-        if estimator not in ESTIMATOR_IDS:
-            raise ValueError(f"unknown estimator {estimator!r}")
         self.model = model
         self.fs = init
-        self.estimator = estimator
         self.dofs = dofs
         self.dt = dt
-        self.adaptive = adaptive or AdaptiveConfig()
+        if forgetting_factor is None:
+            self._step = ekf_step
+        else:
+            self._step = partial(aekf_step, forgetting_factor=forgetting_factor)
         self._prev_forces = np.zeros(len(dofs))
         n = len(dofs)
         self._xs = np.zeros((n_samples, n))
@@ -377,11 +345,8 @@ class EstimatorSession:
         f = np.asarray(forces, dtype=float)
         if k == 0:
             self.fs = update(self.fs, z, self.model)
-        elif self.estimator in ("kf", "ekf"):
-            # on a linear model the EKF step is the Kalman filter step
-            self.fs = ekf_step(self.fs, self._prev_forces, z, self.model)
         else:
-            self.fs = aekf_step(self.fs, self._prev_forces, z, self.model, self.adaptive)
+            self.fs = self._step(self.fs, self._prev_forces, z, self.model)
         self._prev_forces = f
         self._xs[k] = self.fs.x[0::2]
         self._vs[k] = self.fs.x[1::2]
@@ -404,24 +369,23 @@ class EstimatorSession:
 
 class SurrogateSession:
     """Per-step work of the physical-substructure side: read the truth
-    generator, add measurement noise, delay the force channel, and feed
+    generator, add measurement noise, delay the force channel by
+    ``delay_steps`` samples (holding the first until then), and feed
     commands back to the generator."""
 
     def __init__(
         self,
         generator,
-        dt: float,
         disp_noise_std: float = 0.0,
         force_noise_std: float = 0.0,
-        delay_tau: float = 0.0,
+        delay_steps: int = 0,
         seed: int = 0,
     ):
         self.generator = generator
-        self.dt = dt
         self.disp_noise_std = disp_noise_std
         self.force_noise_std = force_noise_std
         self.rng = np.random.default_rng(seed)
-        self.delay = DelayLine(delay_tau) if delay_tau > 0 else None
+        self._forces = deque(maxlen=delay_steps + 1)
         self._noise_block: Optional[np.ndarray] = None
 
     def prepare(self, n_samples: int, n_dofs: int) -> None:
@@ -435,9 +399,8 @@ class SurrogateSession:
         eps = self._noise_block[k]
         forces = forces + self.force_noise_std * eps[:n]
         disps = disps + self.disp_noise_std * eps[n:]
-        if self.delay is not None:
-            forces = np.asarray(self.delay.apply(k * self.dt, forces))
-        return forces, disps
+        self._forces.append(forces)
+        return self._forces[0], disps
 
     def apply_command(self, displacements: np.ndarray) -> None:
         self.generator.receive_command(np.asarray(displacements, dtype=float))
@@ -486,7 +449,11 @@ class NumericalServer:
         self.session = session
         self.handshake_timeout = handshake_timeout
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind(bind)
+        try:
+            self.sock.bind(bind)
+        except OSError:
+            self.sock.close()
+            raise
         self.endpoint = LockstepEndpoint(
             self.sock, None, cfg.timeout, cfg.max_retries, loss
         )

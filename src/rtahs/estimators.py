@@ -16,6 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo
 
+from .integrators import IntegrationError
+
 # Eigenvalue floor applied to every covariance matrix after the update
 # and matching recursions, whose subtraction terms can otherwise produce
 # indefinite matrices.
@@ -119,18 +121,12 @@ class NoiseStats:
     R: np.ndarray
 
     @staticmethod
-    def diagonal(
-        n_states: int,
-        n_obs: int,
-        q_var: float,
-        r_var: float,
-        q_mean: float = 0.0,
-        r_mean: float = 0.0,
-    ) -> "NoiseStats":
+    def diagonal(n_states: int, n_obs: int, q_var: float, r_var: float) -> "NoiseStats":
+        """Zero means and diagonal covariances."""
         return NoiseStats(
-            q=np.full(n_states, q_mean, dtype=float),
+            q=np.zeros(n_states),
             Q=np.eye(n_states) * q_var,
-            r=np.full(n_obs, r_mean, dtype=float),
+            r=np.zeros(n_obs),
             R=np.eye(n_obs) * r_var,
         )
 
@@ -150,9 +146,10 @@ class TransitionModel:
     """One-step transition map with its Jacobian, and the observation.
 
     ``propagate(x, u)`` advances the state over one sampling interval
-    under a zero-order-hold input; ``jac_transition(x, u)`` is the
-    Jacobian of that discrete map.  The filter observes ``H @ x`` through
-    the constant matrix ``H``; both noises enter additively.
+    under a zero-order-hold input (it may raise :class:`IntegrationError`
+    on a non-finite state); ``jac_transition(x, u)`` is the Jacobian of
+    that discrete map.  The filter observes ``H @ x`` through the
+    constant matrix ``H``; both noises enter additively.
     """
 
     propagate: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -169,24 +166,6 @@ def linear_transition_model(ssm) -> TransitionModel:
         return Phi @ x + Gamma @ u
 
     return TransitionModel(propagate=propagate, jac_transition=lambda x, u: Phi, H=ssm.H)
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Covariance-matching settings for the adaptive filter.
-
-    ``forgetting_factor`` must lie in (0, 1); step k receives weight
-    d_k = (1-b)/(1-b^k), so the first update has full weight and the
-    weights decrease towards 1-b.  With ``enabled`` False the adaptive
-    step degenerates exactly to the plain EKF.
-    """
-
-    forgetting_factor: float = DEFAULT_FORGETTING_FACTOR
-    enabled: bool = True
-
-    def __post_init__(self):
-        if not (0.0 < self.forgetting_factor < 1.0):
-            raise ValueError("forgetting factor must be in (0, 1)")
 
 
 def forgetting_weight(b: float, k: int) -> float:
@@ -207,7 +186,10 @@ def predict(
     """
     if not (isinstance(u, np.ndarray) and u.ndim == 1):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-    x_prior = np.asarray(m.propagate(fs.x, u), dtype=float) + fs.noise.q
+    try:
+        x_prior = np.asarray(m.propagate(fs.x, u), dtype=float) + fs.noise.q
+    except IntegrationError as exc:
+        raise FilterNumericalError("non-finite prediction", step=fs.k + 1) from exc
     A_k = np.asarray(m.jac_transition(fs.x, u), dtype=float)
     APA = A_k @ fs.P @ A_k.T
     P_prior = symmetrize(APA + fs.noise.Q)
@@ -257,7 +239,7 @@ def covariance_match(
     innovation: np.ndarray,
     K: np.ndarray,
     A_k: np.ndarray,
-    cfg: AdaptiveConfig,
+    forgetting_factor: float,
 ) -> NoiseStats:
     """Innovation-based recursive re-estimation of the noise statistics.
 
@@ -272,7 +254,7 @@ def covariance_match(
     covariance estimates are symmetrized and eigenvalue-floored.
     """
     k = prev.k + 1
-    d = forgetting_weight(cfg.forgetting_factor, k)
+    d = forgetting_weight(forgetting_factor, k)
     n = prev.noise
 
     dx = new_x - A_k @ prev.x
@@ -298,7 +280,10 @@ def _sdof_scalar_step(
     predict + _update_core carried out in plain floats (50k-step
     real-time loops live on this path)."""
     n = fs.noise
-    x_prop = m.propagate(fs.x, u)
+    try:
+        x_prop = m.propagate(fs.x, u)
+    except IntegrationError as exc:
+        raise FilterNumericalError("non-finite prediction", step=fs.k + 1) from exc
     xp1 = float(x_prop[0]) + n.q[0]
     xp2 = float(x_prop[1]) + n.q[1]
     A = m.jac_transition(fs.x, u)
@@ -368,18 +353,15 @@ def aekf_step(
     u: np.ndarray,
     z: np.ndarray,
     m: TransitionModel,
-    cfg: AdaptiveConfig = AdaptiveConfig(),
+    forgetting_factor: float = DEFAULT_FORGETTING_FACTOR,
 ) -> FilterState:
     """Adaptive EKF step: EKF predict/update followed by covariance
-    matching of the noise statistics (skipped entirely when adaptation
-    is disabled, making the step equal to :func:`ekf_step`)."""
-    if not cfg.enabled:
-        return ekf_step(fs, u, z, m)
+    matching of the noise statistics."""
     x_prior, P_prior, A_k, APA = predict(fs, u, m)
     try:
         x_post, P_post, K, innovation, HPH = _update_core(x_prior, P_prior, z, m, fs.noise)
         noise = covariance_match(
-            fs, APA, HPH, x_post, P_post, innovation, K, A_k, cfg
+            fs, APA, HPH, x_post, P_post, innovation, K, A_k, forgetting_factor
         )
     except FilterNumericalError as exc:
         raise FilterNumericalError(str(exc), step=fs.k + 1) from exc

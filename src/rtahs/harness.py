@@ -4,6 +4,7 @@ write the CSV/summary artifacts."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -14,7 +15,6 @@ import numpy as np
 from .cases import (
     DISPLACEMENT_LIMIT_HEIGHTS,
     CaseConfig,
-    adaptive_config,
     case_stepper,
     filter_model,
     initial_filter_state,
@@ -46,7 +46,6 @@ class CaseResult:
     elapsed: float
     server_stats: Optional[SessionStats] = None
     surrogate_stats: Optional[SessionStats] = None
-    cov_min_eig: Optional[float] = None
 
     @property
     def truncated(self) -> bool:
@@ -54,27 +53,30 @@ class CaseResult:
 
 
 def build_estimator_session(cfg: CaseConfig, trace_covariance: bool = False) -> EstimatorSession:
+    """Estimator side of a case: the adaptive EKF step for ``aekf`` with
+    adaptation on, else the EKF step (the KF step on a linear model)."""
     model = filter_model(cfg)
+    adapt = cfg.estimator == "aekf" and cfg.filter.adapt_enabled
     return EstimatorSession(
         model=model,
         init=initial_filter_state(cfg, model),
-        estimator=cfg.estimator,
         dofs=cfg.dofs,
         dt=cfg.dt,
         n_samples=cfg.n_samples,
-        adaptive=adaptive_config(cfg),
+        forgetting_factor=cfg.filter.forgetting_factor if adapt else None,
         trace_covariance=trace_covariance,
     )
 
 
 def build_surrogate_session(cfg: CaseConfig) -> SurrogateSession:
-    """Surrogate side of a case: its truth generator, noise and delay."""
+    """Surrogate side of a case: its truth generator, noise and delay.
+    The hold takes the force sampled at or before t - tau (1.5 samples
+    delay by 2); the slack absorbs the rounding of a whole tau / dt."""
     return SurrogateSession(
         generator=truth_generator(cfg),
-        dt=cfg.dt,
         disp_noise_std=cfg.surrogate.disp_noise_std,
         force_noise_std=cfg.surrogate.force_noise_std,
-        delay_tau=cfg.surrogate.delay_tau,
+        delay_steps=math.ceil(cfg.surrogate.delay_tau / cfg.dt - 1e-6),
         seed=cfg.seed,
     )
 
@@ -117,11 +119,11 @@ def run_oracle(cfg: CaseConfig) -> TimeSeries:
     return simulate(case_stepper(cfg), labels, cfg.t_end, limit)
 
 
-def run_case(cfg: CaseConfig, trace_covariance: bool = False) -> CaseResult:
+def run_case(cfg: CaseConfig) -> CaseResult:
     """Run the hybrid loop and the oracle, compare per displacement
     channel (oracle as reference), and bundle the artifacts."""
     start = time.perf_counter()
-    rtahs, sstats, pstats, min_eig = run_loop(cfg, trace_covariance=trace_covariance)
+    rtahs, sstats, pstats, _ = run_loop(cfg)
     oracle = run_oracle(cfg)
     metrics = {}
     for d in cfg.dofs:
@@ -135,7 +137,6 @@ def run_case(cfg: CaseConfig, trace_covariance: bool = False) -> CaseResult:
         elapsed=time.perf_counter() - start,
         server_stats=sstats,
         surrogate_stats=pstats,
-        cov_min_eig=min_eig,
     )
 
 

@@ -1,7 +1,8 @@
-"""Oracle time integrators: the Newmark-beta and classical fixed-step RK4
-kernels, the steppers built on them (one precomputed matrix step for
-linear time-invariant cases, scalar RK4 for the nonlinear one), and the
-``simulate`` driver producing uniformly sampled time series.
+"""Oracle time integrators: the Newmark-beta step matrix and the classical
+fixed-step RK4 kernels, the steppers built on them (one precomputed
+matrix step for linear time-invariant cases, scalar RK4 for the
+nonlinear one), and the ``simulate`` driver producing uniformly sampled
+time series.
 """
 
 from __future__ import annotations
@@ -66,55 +67,33 @@ class TimeSeries:
         return self.data[name]
 
 
-class NewmarkSolver:
-    """Newmark-beta stepper with the effective stiffness pre-factored.
+def newmark_matrix(mats: StructuralMatrices, dt: float) -> np.ndarray:
+    """One Newmark-beta step (parameters GAMMA and BETA) of the free
+    system as the matrix T of ``[x; v] <- T [x; v]``.
 
-    For a fixed (M, C, K, dt) every per-step quantity except the
-    effective force is constant, so repeated stepping reduces to a
-    handful of small mat-vecs.  The parameters are GAMMA and BETA.
+    Each column of the identity on ``[x; v]`` is one initial state, with
+    the acceleration that the equation of motion gives it; Newmark
+    satisfies that equation at every step, so stepping the state alone
+    loses nothing.
     """
-
-    def __init__(self, mats: StructuralMatrices, dt: float):
-        if not dt > 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        self.mats = mats
-        self.dt = dt
-        self.a0 = 1.0 / (BETA * dt * dt)
-        self.a1 = GAMMA / (BETA * dt)
-        self.a2 = 1.0 / (BETA * dt)
-        self.a3 = 1.0 / (2.0 * BETA) - 1.0
-        self.a4 = GAMMA / BETA - 1.0
-        self.a5 = dt / 2.0 * (GAMMA / BETA - 2.0)
-        self.a6 = dt * (1.0 - GAMMA)
-        self.a7 = GAMMA * dt
-        k_eff = mats.K + self.a0 * mats.M + self.a1 * mats.C
-        self.k_eff_inv = np.linalg.inv(k_eff)
-
-    def initial_acceleration(
-        self, x: np.ndarray, v: np.ndarray, f: np.ndarray
-    ) -> np.ndarray:
-        m = self.mats
-        return np.linalg.solve(m.M, f - m.C @ v - m.K @ x)
-
-    def step_arrays(
-        self,
-        x: np.ndarray,
-        v: np.ndarray,
-        acc: np.ndarray,
-        f_next: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m = self.mats
-        f_eff = (
-            f_next
-            + m.M @ (self.a0 * x + self.a2 * v + self.a3 * acc)
-            + m.C @ (self.a1 * x + self.a4 * v + self.a5 * acc)
-        )
-        x_new = self.k_eff_inv @ f_eff
-        acc_new = self.a0 * (x_new - x) - self.a2 * v - self.a3 * acc
-        v_new = v + self.a6 * acc + self.a7 * acc_new
-        if not np.isfinite(x_new).all():
-            raise IntegrationError("non-finite Newmark state")
-        return x_new, v_new, acc_new
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n = mats.n
+    M, C, K = mats.M, mats.C, mats.K
+    identity = np.eye(2 * n)
+    x, v = identity[:n], identity[n:]
+    acc = np.linalg.solve(M, -C @ v - K @ x)
+    a0 = 1.0 / (BETA * dt * dt)
+    a1 = GAMMA / (BETA * dt)
+    a2 = 1.0 / (BETA * dt)
+    a3 = 1.0 / (2.0 * BETA) - 1.0
+    a4 = GAMMA / BETA - 1.0
+    a5 = dt / 2.0 * (GAMMA / BETA - 2.0)
+    f_eff = M @ (a0 * x + a2 * v + a3 * acc) + C @ (a1 * x + a4 * v + a5 * acc)
+    x_new = np.linalg.inv(K + a0 * M + a1 * C) @ f_eff
+    acc_new = a0 * (x_new - x) - a2 * v - a3 * acc
+    v_new = v + dt * (1.0 - GAMMA) * acc + GAMMA * dt * acc_new
+    return np.vstack((x_new, v_new))
 
 
 def rk4_step(
@@ -148,7 +127,8 @@ def rk4_scalar_2nd(
 
     Pure-float specialization of :func:`rk4_step` for single-DOF runs;
     used by both the oracle driver and the surrogate truth generator so
-    the two trace identical floating-point trajectories.
+    the two trace identical floating-point trajectories, and by the
+    filter model of the nonlinear case.
     """
     k1h = v
     k1v = acc(t, h, v)

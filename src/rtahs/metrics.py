@@ -79,6 +79,9 @@ def compare_series(a: TimeSeries, b: TimeSeries, channel: str) -> ComparisonMetr
     ``a`` over their time overlap."""
     if a.dt != b.dt:
         raise ValueError(f"sample intervals differ: {a.dt} vs {b.dt}")
+    for s in (a, b):
+        if channel not in s.data:
+            raise ValueError(f"no channel {channel!r} in a series of {s.channels}")
     sa, sb = _overlap_indices(a, b)
     ref = a.channel(channel)[sa]
     test = b.channel(channel)[sb]

@@ -1,4 +1,4 @@
-"""Lockstep co-simulation: delay line, loss injection, loopback
+"""Lockstep co-simulation: force delay, loss injection, loopback
 sessions, and UDP/in-process equivalence."""
 
 import math
@@ -12,17 +12,17 @@ from dataclasses import replace
 from numpy.testing import assert_allclose
 
 from rtahs.aero import linear_se_force
-from rtahs.cases import EchoGenerator, default_config
+from rtahs.cases import EchoGenerator, SurrogateSettings, default_config
 from rtahs import cosim, harness
 from rtahs.cosim import (
     RTO_MIN,
-    DelayLine,
     LockstepEndpoint,
     LossInjector,
     NumericalServer,
     RetransmitTimer,
     SessionError,
     SurrogateRunner,
+    SurrogateSession,
     run_udp_pair,
 )
 from rtahs.harness import (
@@ -35,51 +35,77 @@ from rtahs.metrics import compare_series
 from rtahs.wire import Frame, MsgType, decode_frame, encode_frame
 
 
+class ForceSequence:
+    """Truth generator whose force at step k is ``samples[k]``, with a
+    zero displacement."""
+
+    def __init__(self, samples):
+        self.samples = samples
+        self.k = 0
+
+    def outputs(self):
+        f = np.atleast_1d(np.asarray(self.samples[self.k], dtype=float))
+        return f, np.zeros_like(f)
+
+    def receive_command(self, disp):
+        pass
+
+    def advance(self):
+        self.k += 1
+
+
+def delayed_forces(samples, delay_steps):
+    """The forces a noiseless surrogate session reports at each step."""
+    sur = SurrogateSession(ForceSequence(samples), delay_steps=delay_steps)
+    out = []
+
+    def exchange(k, forces, disps):
+        out.append(forces)
+        return disps
+
+    sur.run(len(samples), len(np.atleast_1d(samples[0])), exchange)
+    return out
+
+
 class TestDelayLine:
     def test_zero_delay_is_identity(self):
-        d = DelayLine(0.0)
-        for k in range(20):
-            assert d.apply(0.1 * k, k) == k
+        outs = delayed_forces([float(k) for k in range(20)], 0)
+        assert [f[0] for f in outs] == list(range(20))
 
     def test_hold_before_first_sample(self):
-        d = DelayLine(0.5)
-        assert d.apply(0.0, 10.0) == 10.0
-        assert d.apply(0.1, 11.0) == 10.0
-        assert d.apply(0.4, 12.0) == 10.0
+        outs = delayed_forces([10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0], 5)
+        assert [f[0] for f in outs] == [10.0] * 6 + [11.0]
 
     def test_sinusoid_phase_shift(self):
-        om, tau, dt = 17.64, 0.1, 1e-3
-        d = DelayLine(tau)
-        n_delay = round(tau / dt)
-        for k in range(1000):
-            t = k * dt
-            out = d.apply(t, math.sin(om * t))
-            if k >= n_delay:
-                expect = math.sin(om * (k - n_delay) * dt)
-                assert out == pytest.approx(expect, abs=1e-9)
+        om, dt, n_delay = 17.64, 1e-3, 100
+        outs = delayed_forces([math.sin(om * k * dt) for k in range(1000)], n_delay)
+        for k in range(n_delay, 1000):
+            assert outs[k][0] == pytest.approx(math.sin(om * (k - n_delay) * dt), abs=1e-9)
 
     def test_constant_signal_invariant(self):
-        d = DelayLine(0.25)
-        for k in range(100):
-            assert d.apply(0.01 * k, 3.25) == 3.25
-
-    def test_decreasing_time_rejected(self):
-        d = DelayLine(0.1)
-        d.apply(1.0, 1.0)
-        with pytest.raises(ValueError):
-            d.apply(0.5, 2.0)
+        assert all(f[0] == 3.25 for f in delayed_forces([3.25] * 100, 25))
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            DelayLine(-0.1)
+            SurrogateSettings(delay_tau=-0.1)
 
     def test_vector_samples(self):
-        d = DelayLine(0.02)
-        dt = 0.01
-        outs = []
-        for k in range(5):
-            outs.append(d.apply(k * dt, np.array([float(k), -float(k)])))
+        outs = delayed_forces([np.array([float(k), -float(k)]) for k in range(5)], 2)
         assert_allclose(outs[4], [2.0, -2.0])
+
+    def test_fractional_delay_rounds_up_to_whole_samples(self):
+        # The hold takes the force sampled at or before t - tau: 1.5 ms
+        # delays by two 1 ms samples and 99.9 ms by 100.
+        cfg = default_config("case1-linear", t_end=0.5)
+
+        def run(tau):
+            series, _, _, _ = run_loop(replace(cfg, surrogate=replace(cfg.surrogate, delay_tau=tau)))
+            return series
+
+        for tau, same in ((0.0015, 0.002), (0.0999, 0.1)):
+            a, b = run(tau), run(same)
+            assert all(np.array_equal(a.channel(ch), b.channel(ch)) for ch in a.channels), tau
+        assert not np.array_equal(run(0.0015).channel("f_heave"), run(0.001).channel("f_heave"))
 
 
 class TestLossInjector:

@@ -14,12 +14,11 @@ from numpy.testing import assert_allclose
 from finite_difference import numeric_jacobian
 from rtahs import cosim, estimators
 from rtahs.aero import heave_acceleration, heave_jacobian
-from rtahs.cases import nonlinear_heave_model
+from rtahs.cases import FilterSettings, default_config, nonlinear_heave_model
 from rtahs.config import load_config
 from rtahs.dynamics import DofId, ModalParams, build_state_space
 from rtahs.estimators import (
     PSD_FLOOR,
-    AdaptiveConfig,
     FilterNumericalError,
     FilterState,
     NoiseStats,
@@ -94,6 +93,16 @@ class TestPredict:
         with pytest.raises(FilterNumericalError) as err:
             predict(fs, np.zeros(1), model)
         assert err.value.step == 1
+
+    @pytest.mark.parametrize("step", [ekf_step, aekf_step])
+    def test_nonfinite_rk4_propagation_raises_with_step(self, step):
+        # the RK4 kernel of the nonlinear model raises IntegrationError,
+        # which both the fused and the generic step report as the filter's
+        model = nonlinear_heave_model(182.178, 17.64, 0.175, 1e-3)
+        fs = replace(make_state([0.01, 0.0], np.eye(2) * 1e-10), k=4)
+        with pytest.raises(FilterNumericalError, match="non-finite prediction") as err:
+            step(fs, np.array([np.inf]), np.zeros(1), model)
+        assert err.value.step == 5
 
 
 class TestUpdate:
@@ -211,26 +220,22 @@ class TestFilterSteps:
         assert np.max(np.abs(fk.P - fe.P)) <= 1e-12
 
     def test_aekf_with_adaptation_disabled_equals_ekf(self):
-        model, fs = self._linear_setup()
-        cfg = AdaptiveConfig(enabled=False)
-        rng = np.random.default_rng(1)
-        fa, fe = fs, fs
-        for _ in range(50):
-            u = rng.normal(size=1)
-            z = rng.normal(0.01, 0.001, size=1)
-            fa = aekf_step(fa, u, z, model, cfg)
-            fe = ekf_step(fe, u, z, model)
-        assert np.array_equal(fa.x, fe.x)
-        assert np.array_equal(fa.P, fe.P)
+        # a case2dof run of the AEKF with adaptation off is the EKF run,
+        # bit for bit on every channel
+        cfg = default_config("case2dof", t_end=1.0)
+        off, _, _, _ = run_loop(replace(cfg, filter=replace(cfg.filter, adapt_enabled=False)))
+        ekf, _, _, _ = run_loop(replace(cfg, estimator="ekf"))
+        assert off.channels == ekf.channels
+        for ch in ekf.channels:
+            assert np.array_equal(off.channel(ch), ekf.channel(ch)), ch
 
     def test_aekf_adapts_noise_statistics(self):
         model, fs = self._linear_setup(q_var=1e-8, r_var=1e-8)
-        cfg = AdaptiveConfig(forgetting_factor=0.96)
         rng = np.random.default_rng(2)
         f = fs
         for _ in range(100):
             z = np.array([0.01 + rng.normal(0, 1e-3)])
-            f = aekf_step(f, np.zeros(1), z, model, cfg)
+            f = aekf_step(f, np.zeros(1), z, model, 0.96)
         assert f.k == 100
         assert not np.array_equal(f.noise.R, fs.noise.R)
         assert np.linalg.eigvalsh(f.noise.Q)[0] >= PSD_FLOOR - 1e-15
@@ -333,7 +338,7 @@ def reference_floor(M, floor=PSD_FLOOR):
     return 0.5 * (out + out.T)
 
 
-def textbook_aekf_step(fs, u, z, m, cfg, clamps):
+def textbook_aekf_step(fs, u, z, m, forgetting_factor, clamps):
     """One adaptive EKF step as the plain composition of its formulas:
     A P A' and H P H' formed where each equation needs them, outer
     products by np.outer, floors by :func:`reference_floor`.  ``clamps``
@@ -356,7 +361,7 @@ def textbook_aekf_step(fs, u, z, m, cfg, clamps):
         return out
 
     P_post = floored("P", (np.eye(len(x_prior)) - K @ H) @ P_prior)
-    b = cfg.forgetting_factor
+    b = forgetting_factor
     d = (1.0 - b) / (1.0 - b ** (fs.k + 1))
     dx = x_post - A @ fs.x
     Ke = K @ innovation
@@ -380,9 +385,9 @@ class TestAekfBitIdentity:
         cfg = replace(load_config(path), mode="in-process", t_end=2.0)
         steps = []
 
-        def recording_step(fs, u, z, m, adaptive):
-            out = aekf_step(fs, u, z, m, adaptive)
-            steps.append((fs, u, z, m, adaptive, out))
+        def recording_step(fs, u, z, m, forgetting_factor):
+            out = aekf_step(fs, u, z, m, forgetting_factor)
+            steps.append((fs, u, z, m, forgetting_factor, out))
             return out
 
         monkeypatch.setattr(cosim, "aekf_step", recording_step)
@@ -390,8 +395,8 @@ class TestAekfBitIdentity:
         assert len(steps) == cfg.n_samples - 1
         clamps = {"P": 0, "Q": 0, "R": 0}
         ref = steps[0][0]
-        for fs, u, z, m, adaptive, out in steps:
-            ref = textbook_aekf_step(ref, u, z, m, adaptive, clamps)
+        for fs, u, z, m, forgetting_factor, out in steps:
+            ref = textbook_aekf_step(ref, u, z, m, forgetting_factor, clamps)
             assert ref.k == out.k
             for name, a, b in (
                 ("x", ref.x, out.x),
@@ -513,6 +518,6 @@ class TestNumericJacobian:
 
 def test_adaptive_config_validation():
     with pytest.raises(ValueError):
-        AdaptiveConfig(forgetting_factor=1.0)
+        FilterSettings(forgetting_factor=1.0)
     with pytest.raises(ValueError):
-        AdaptiveConfig(forgetting_factor=0.0)
+        FilterSettings(forgetting_factor=0.0)

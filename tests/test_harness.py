@@ -2,6 +2,7 @@
 configuration files, and the CLI."""
 
 import io
+import socket
 import textwrap
 from dataclasses import replace
 from pathlib import Path
@@ -331,6 +332,7 @@ class TestConfigFiles:
             {"filter": {"process_var": float("inf")}},
             {"filter": {"jacobian": "numeric"}},
             {"filter": {"q_update_form": "residual"}},
+            {"filter": {"forgetting_factor": 1.0}},
         ):
             with pytest.raises(ConfigFileError):
                 config_from_dict({"case": "case1-linear", **bad})
@@ -422,11 +424,35 @@ class TestCli:
         assert not out.exists()
         assert "--case" in capsys.readouterr().err
 
-    def test_config_error_exit_code(self, tmp_path):
-        cfgfile = tmp_path / "bad.yaml"
-        cfgfile.write_text("case: case1-linear\nbogus: 1\n")
-        rc = main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
-        assert rc == 2
+    @pytest.mark.parametrize(
+        "kind", ["unknown-key", "missing-csv", "missing-channel", "address-in-use"]
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("case: case1-linear\nbogus: 1\n")
+        good = tmp_path / "good.yaml"
+        good.write_text("case: case1-linear\nt_end: 0.2\n")
+        csv = tmp_path / "a.csv"
+        csv.write_text("t,x_heave\n0,0\n0.001,1\n")
+        busy = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        busy.bind(("127.0.0.1", 0))
+        argv, message = {
+            "unknown-key": (["run", "--config", str(bad), "--out", str(tmp_path)], "bogus"),
+            "missing-csv": (
+                ["compare", str(tmp_path / "none.csv"), str(csv), "--channel", "x_heave"],
+                "none.csv",
+            ),
+            "missing-channel": (["compare", str(csv), str(csv), "--channel", "x_torsion"], "x_torsion"),
+            "address-in-use": (
+                ["serve", "--bind", f"127.0.0.1:{busy.getsockname()[1]}", "--config", str(good)],
+                "in use",
+            ),
+        }[kind]
+        try:
+            assert main(argv) == 2
+        finally:
+            busy.close()
+        assert message in capsys.readouterr().err
 
     def test_session_error_exit_code(self, tmp_path):
         # the surrogate endpoint pointed at a dead port gives up after

@@ -1,0 +1,59 @@
+"""Print the sha256 of every artifact ``rtahs run`` writes for the shipped
+configs in both modes.
+
+    python3 tools/artifact_digests.py OUT [--t-end T]
+
+For each of ``configs/case1-linear.yaml``, ``configs/case1-nonlinear.yaml``
+and ``configs/case2dof.yaml`` and each mode, ``in-process`` and ``udp``,
+this runs ``rtahs run --config <config> --mode <mode> --out
+OUT/<case>-<mode>`` (with ``--t-end T`` if given) on the source tree the
+script sits in, then prints one ``sha256  <case>-<mode>/<file>`` line per
+artifact, as ``sha256sum`` does: 18 lines in all.  Run it from two
+checkouts and compare the lines to see whether a change kept the
+artifacts byte-identical.  What ``rtahs run`` itself prints goes to
+stderr.  Exits 1 if a run exits with a code other than 0 or 4.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = ("case1-linear", "case1-nonlinear", "case2dof")
+MODES = ("in-process", "udp")
+ARTIFACTS = ("oracle.csv", "rtahs.csv", "summary.txt")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="directory for the run artifacts")
+    parser.add_argument("--t-end", dest="t_end", type=float, help="override every config's t_end")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from rtahs.cli import main as rtahs
+
+    for case in CASES:
+        for mode in MODES:
+            name = f"{case}-{mode}"
+            run = ["run", "--config", str(ROOT / "configs" / f"{case}.yaml")]
+            run += ["--mode", mode, "--out", str(args.out / name)]
+            if args.t_end is not None:
+                run += ["--t-end", repr(args.t_end)]
+            with redirect_stdout(sys.stderr):
+                rc = rtahs(run)
+            if rc not in (0, 4):
+                print(f"rtahs run of {name} exited {rc}", file=sys.stderr)
+                return 1
+            for artifact in ARTIFACTS:
+                digest = hashlib.sha256((args.out / name / artifact).read_bytes()).hexdigest()
+                print(f"{digest}  {name}/{artifact}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
