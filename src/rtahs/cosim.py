@@ -187,6 +187,7 @@ class LockstepEndpoint:
         self.timer = RetransmitTimer(timeout)
         self.lossy = False  # a wait of this endpoint has expired before
         self.clock = time.monotonic
+        self._wait: Optional[float] = None  # the socket's timeout
 
     def send(self, frame: Frame) -> None:
         self.stats.sent += 1
@@ -197,24 +198,30 @@ class LockstepEndpoint:
 
     def recv(self, timeout: float) -> Optional[Frame]:
         """One receive attempt within ``timeout`` seconds; returns None
-        on timeout, skips foreign and undecodable datagrams."""
-        self.sock.settimeout(timeout)
-        while True:
+        on timeout.  Foreign and undecodable datagrams are skipped, and
+        however many come, the wait ends ``timeout`` after it began."""
+        start, wait = self.clock(), timeout
+        while wait > 0.0:
+            if wait != self._wait:  # settimeout costs a system call
+                self.sock.settimeout(wait)
+                self._wait = wait
             try:
                 data, addr = self.sock.recvfrom(65535)
             except socket.timeout:
-                self.stats.timeouts += 1
-                return None
+                break
             if self.pinned and addr != self.peer:
                 self.stats.foreign += 1
-                continue
-            try:
-                frame = decode_frame(data)
-            except FrameDecodeError:
-                self.stats.decode_errors += 1
-                continue
-            self.source = addr
-            return frame
+            else:
+                try:
+                    frame = decode_frame(data)
+                except FrameDecodeError:
+                    self.stats.decode_errors += 1
+                else:
+                    self.source = addr
+                    return frame
+            wait = start + timeout - self.clock()
+        self.stats.timeouts += 1
+        return None
 
     def request(self, outbound: Frame, want_type: MsgType, want_seq: int) -> Frame:
         """Send ``outbound`` and wait for the matching reply.
@@ -492,15 +499,13 @@ class NumericalServer:
             )
         for k in range(n_samples):
             meas = ep.answer(reply, MsgType.MEASUREMENT, k + 1, budget)
-            cmd = self.session.process(
-                k, np.asarray(meas.forces), np.asarray(meas.displacements)
-            )
+            cmd = self.session.process(k, meas.forces, meas.displacements)
             reply = Frame(
                 msg_type=MsgType.COMMAND,
                 dof_count=len(cfg.dofs),
                 seq=k + 1,
                 sim_time=k * cfg.dt,
-                displacements=tuple(cmd),
+                displacements=tuple(cmd.tolist()),
             )
 
         # Final SHUTDOWN exchange; losing it does not affect the data.
@@ -543,8 +548,8 @@ class SurrogateRunner:
                 dof_count=n_dofs,
                 seq=k + 1,
                 sim_time=k * cfg.dt,
-                forces=tuple(forces),
-                displacements=tuple(disps),
+                forces=tuple(forces.tolist()),
+                displacements=tuple(disps.tolist()),
             )
             return ep.request(meas, MsgType.COMMAND, k + 1).displacements
 

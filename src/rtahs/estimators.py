@@ -177,11 +177,11 @@ def forgetting_weight(b: float, k: int) -> float:
 
 def predict(
     fs: FilterState, u: np.ndarray, m: TransitionModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prediction half-step.
 
-    Returns (x_prior, P_prior, A_k, APA) where x_prior includes the
-    current process-noise mean, APA = A P A' is left unsymmetrized for
+    Returns (x_prior, P_prior, APA) where x_prior includes the current
+    process-noise mean, APA = A P A' is left unsymmetrized for
     covariance matching, and P_prior = APA + Q, symmetrized.
     """
     if not (isinstance(u, np.ndarray) and u.ndim == 1):
@@ -196,7 +196,7 @@ def predict(
     # any inf/nan entry poisons the sums, so two reductions cover the check
     if not math.isfinite(x_prior.sum() + P_prior.sum()):
         raise FilterNumericalError("non-finite prediction", step=fs.k + 1)
-    return x_prior, P_prior, A_k, APA
+    return x_prior, P_prior, APA
 
 
 def _update_core(
@@ -234,30 +234,31 @@ def covariance_match(
     prev: FilterState,
     APA: np.ndarray,
     HPH: np.ndarray,
+    x_prior: np.ndarray,
     new_x: np.ndarray,
     new_P: np.ndarray,
     innovation: np.ndarray,
     K: np.ndarray,
-    A_k: np.ndarray,
     forgetting_factor: float,
 ) -> NoiseStats:
     """Innovation-based recursive re-estimation of the noise statistics.
 
     Exponential forgetting with weight d_k blends the previous moments
-    with single-step estimates: the process mean from the state
-    increment x_post - A_k x_prev, the process covariance from the
-    gain-weighted innovation outer product plus the covariance decrease,
-    the measurement mean from the raw pre-fit residual, and the
-    measurement covariance from the innovation outer product minus the
-    predicted part.  APA and HPH are the products A P A' and H P_prior H'
-    already formed by :func:`predict` and :func:`_update_core`.  Both
-    covariance estimates are symmetrized and eigenvalue-floored.
+    with single-step estimates: the process mean from the posterior
+    less the step's own propagation, x_post - (x_prior - q_prev), the
+    process covariance from the gain-weighted innovation outer product
+    plus the covariance decrease, the measurement mean from the raw
+    pre-fit residual, and the measurement covariance from the innovation
+    outer product minus the predicted part.  APA and HPH are the
+    products A P A' and H P_prior H' already formed by :func:`predict`
+    and :func:`_update_core`.  Both covariance estimates are symmetrized
+    and eigenvalue-floored.
     """
     k = prev.k + 1
     d = forgetting_weight(forgetting_factor, k)
     n = prev.noise
 
-    dx = new_x - A_k @ prev.x
+    dx = new_x - (x_prior - n.q)
     q_new = (1.0 - d) * n.q + d * dx
 
     Ke = K @ innovation
@@ -340,7 +341,7 @@ def ekf_step(
         if not (isinstance(u, np.ndarray) and u.ndim == 1):
             u = np.atleast_1d(np.asarray(u, dtype=float))
         return _sdof_scalar_step(fs, u, z, m)
-    x_prior, P_prior, _, _ = predict(fs, u, m)
+    x_prior, P_prior, _ = predict(fs, u, m)
     try:
         x_post, P_post, *_ = _update_core(x_prior, P_prior, z, m, fs.noise)
     except FilterNumericalError as exc:
@@ -357,11 +358,11 @@ def aekf_step(
 ) -> FilterState:
     """Adaptive EKF step: EKF predict/update followed by covariance
     matching of the noise statistics."""
-    x_prior, P_prior, A_k, APA = predict(fs, u, m)
+    x_prior, P_prior, APA = predict(fs, u, m)
     try:
         x_post, P_post, K, innovation, HPH = _update_core(x_prior, P_prior, z, m, fs.noise)
         noise = covariance_match(
-            fs, APA, HPH, x_post, P_post, innovation, K, A_k, forgetting_factor
+            fs, APA, HPH, x_prior, x_post, P_post, innovation, K, forgetting_factor
         )
     except FilterNumericalError as exc:
         raise FilterNumericalError(str(exc), step=fs.k + 1) from exc

@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 MAGIC = b"RTAH"
 VERSION = 1
@@ -51,6 +51,17 @@ class MsgType(IntEnum):
     COMMAND = 2
     HANDSHAKE = 3
     SHUTDOWN = 4
+
+
+_MSG_TYPES = {int(t): t for t in MsgType}
+
+# One layout per (dof_count, flags) of a MEASUREMENT/COMMAND frame: the
+# header and the blocks the flags name, packed or unpacked in one call.
+_DATA_LAYOUTS = {
+    (dof, flags): struct.Struct(f"{HEADER_STRUCT.format}{dof * bin(flags).count('1')}d")
+    for dof in (1, 2, 3)
+    for flags in range(4)
+}
 
 
 class FrameError(Exception):
@@ -93,9 +104,8 @@ class Handshake:
     estimator_id: int
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One protocol message.
+class Frame(NamedTuple):
+    """One protocol message, immutable.
 
     ``forces``/``displacements`` are per-DOF tuples present according to
     the message role; ``handshake`` is populated only for HANDSHAKE
@@ -112,128 +122,112 @@ class Frame:
 
     @property
     def flags(self) -> int:
-        f = 0
-        if self.forces is not None:
-            f |= FLAG_FORCES
-        if self.displacements is not None:
-            f |= FLAG_DISPLACEMENTS
-        return f
-
-
-def _validate_for_encode(f: Frame) -> None:
-    if not isinstance(f.msg_type, MsgType):
-        raise FrameEncodeError(f"unknown message type {f.msg_type!r}")
-    if not 1 <= f.dof_count <= 3:
-        raise FrameEncodeError(f"dof_count must be 1..3, got {f.dof_count}")
-    if not 0 <= f.seq < 2**32:
-        raise FrameEncodeError(f"seq out of uint32 range: {f.seq}")
-    for name, block in (("forces", f.forces), ("displacements", f.displacements)):
-        if block is not None and len(block) != f.dof_count:
-            raise FrameEncodeError(
-                f"{name} block length {len(block)} != dof_count {f.dof_count}"
-            )
-    if f.msg_type in (MsgType.HANDSHAKE, MsgType.SHUTDOWN):
-        if f.forces is not None or f.displacements is not None:
-            raise FrameEncodeError(f"{f.msg_type.name} carries no data blocks")
-    if f.msg_type == MsgType.HANDSHAKE:
-        if f.handshake is None:
-            raise FrameEncodeError("HANDSHAKE requires a handshake payload")
-        if not 1 <= f.handshake.dof_mask <= 7:
-            raise FrameEncodeError(f"bad dof mask {f.handshake.dof_mask}")
-        if f.handshake.estimator_id not in ESTIMATOR_NAMES:
-            raise FrameEncodeError(f"bad estimator id {f.handshake.estimator_id}")
-    elif f.handshake is not None:
-        raise FrameEncodeError("handshake payload only valid on HANDSHAKE frames")
+        forces, displacements = self.forces is not None, self.displacements is not None
+        return forces * FLAG_FORCES | displacements * FLAG_DISPLACEMENTS
 
 
 def encode_frame(f: Frame) -> bytes:
     """Serialize a frame; raises :class:`FrameEncodeError` if any
-    invariant is violated."""
-    _validate_for_encode(f)
-    head = HEADER_STRUCT.pack(
-        MAGIC, VERSION, int(f.msg_type), f.dof_count, f.flags, f.seq, f.sim_time
+    invariant is violated or a field does not fit its slot in the
+    layout (a float sequence number, a string where a number goes)."""
+    try:
+        return _encode(*f)
+    except (struct.error, TypeError) as exc:
+        raise FrameEncodeError(f"frame does not fit the layout: {exc}") from exc
+
+
+def _encode(msg_type, dof_count, seq, sim_time, forces, displacements, hs) -> bytes:
+    if not isinstance(msg_type, MsgType):
+        raise FrameEncodeError(f"unknown message type {msg_type!r}")
+    if not 1 <= dof_count <= 3:
+        raise FrameEncodeError(f"dof_count must be 1..3, got {dof_count}")
+    if not 0 <= seq < 2**32:
+        raise FrameEncodeError(f"seq out of uint32 range: {seq}")
+    flags, payload = 0, ()
+    if forces is not None:
+        if len(forces) != dof_count:
+            raise FrameEncodeError(
+                f"forces block length {len(forces)} != dof_count {dof_count}"
+            )
+        flags, payload = FLAG_FORCES, forces
+    if displacements is not None:
+        if len(displacements) != dof_count:
+            raise FrameEncodeError(
+                f"displacements block length {len(displacements)} != dof_count {dof_count}"
+            )
+        flags |= FLAG_DISPLACEMENTS
+        payload = (*payload, *displacements)
+    if flags and msg_type in (MsgType.HANDSHAKE, MsgType.SHUTDOWN):
+        raise FrameEncodeError(f"{msg_type.name} carries no data blocks")
+    if msg_type == MsgType.HANDSHAKE:
+        if hs is None:
+            raise FrameEncodeError("HANDSHAKE requires a handshake payload")
+        if not 1 <= hs.dof_mask <= 7:
+            raise FrameEncodeError(f"bad dof mask {hs.dof_mask}")
+        if hs.estimator_id not in ESTIMATOR_NAMES:
+            raise FrameEncodeError(f"bad estimator id {hs.estimator_id}")
+        return HEADER_STRUCT.pack(
+            MAGIC, VERSION, msg_type, dof_count, flags, seq, sim_time
+        ) + HANDSHAKE_STRUCT.pack(hs.dt, hs.t_end, hs.dof_mask, hs.estimator_id)
+    if hs is not None:
+        raise FrameEncodeError("handshake payload only valid on HANDSHAKE frames")
+    return _DATA_LAYOUTS[dof_count, flags].pack(
+        MAGIC, VERSION, msg_type, dof_count, flags, seq, sim_time, *payload
     )
-    if f.msg_type == MsgType.HANDSHAKE:
-        hs = f.handshake
-        return head + HANDSHAKE_STRUCT.pack(hs.dt, hs.t_end, hs.dof_mask, hs.estimator_id)
-    payload = b""
-    if f.forces is not None:
-        payload += struct.pack(f"<{f.dof_count}d", *f.forces)
-    if f.displacements is not None:
-        payload += struct.pack(f"<{f.dof_count}d", *f.displacements)
-    return head + payload
 
 
 def decode_frame(data: bytes) -> Frame:
     """Parse one datagram into a frame, rejecting malformed input with a
     distinct error per failure kind; never reads past the datagram."""
-    if len(data) < HEADER_LEN:
+    n = len(data)
+    if n < HEADER_LEN:
         raise TruncatedFrameError(
-            f"datagram of {len(data)} bytes is shorter than the {HEADER_LEN}-byte header"
+            f"datagram of {n} bytes is shorter than the {HEADER_LEN}-byte header"
         )
-    magic, version, msg_type, dof_count, flags, seq, sim_time = HEADER_STRUCT.unpack(
-        data[:HEADER_LEN]
-    )
+    # Bytes 6 and 7 (dof_count, flags) name the layout that reads a data
+    # frame whole; a datagram of any other length reads the header alone
+    # and fails one of the checks below.
+    layout = _DATA_LAYOUTS.get((data[6], data[7]), HEADER_STRUCT)
+    if layout.size != n:
+        layout = HEADER_STRUCT
+    fields = layout.unpack_from(data)
+    magic, version, msg_type, dof_count, flags, seq, sim_time = fields[:7]
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
-    try:
-        mtype = MsgType(msg_type)
-    except ValueError:
-        raise BadFieldError(f"unknown message type {msg_type}") from None
+    mtype = _MSG_TYPES.get(msg_type)
+    if mtype is None:
+        raise BadFieldError(f"unknown message type {msg_type}")
     if not 1 <= dof_count <= 3:
         raise BadFieldError(f"dof_count must be 1..3, got {dof_count}")
     if flags & ~(FLAG_FORCES | FLAG_DISPLACEMENTS):
         raise BadFieldError(f"unknown flag bits 0x{flags:02x}")
+    if flags and mtype in (MsgType.HANDSHAKE, MsgType.SHUTDOWN):
+        raise BadFieldError(f"{mtype.name} must carry flags = 0")
 
     if mtype == MsgType.HANDSHAKE:
-        if flags != 0:
-            raise BadFieldError("HANDSHAKE must carry flags = 0")
         expected = HEADER_LEN + HANDSHAKE_STRUCT.size
-        if len(data) != expected:
-            raise BadLengthError(
-                f"HANDSHAKE length {len(data)} != expected {expected}"
-            )
-        dt, t_end, dof_mask, estimator_id = HANDSHAKE_STRUCT.unpack(data[HEADER_LEN:])
-        if not 1 <= dof_mask <= 7:
-            raise BadFieldError(f"bad dof mask {dof_mask}")
-        if estimator_id not in ESTIMATOR_NAMES:
-            raise BadFieldError(f"bad estimator id {estimator_id}")
-        return Frame(
-            msg_type=mtype,
-            dof_count=dof_count,
-            seq=seq,
-            sim_time=sim_time,
-            handshake=Handshake(dt=dt, t_end=t_end, dof_mask=dof_mask, estimator_id=estimator_id),
-        )
+        if n != expected:
+            raise BadLengthError(f"HANDSHAKE length {n} != expected {expected}")
+        hs = Handshake(*HANDSHAKE_STRUCT.unpack_from(data, HEADER_LEN))
+        if not 1 <= hs.dof_mask <= 7:
+            raise BadFieldError(f"bad dof mask {hs.dof_mask}")
+        if hs.estimator_id not in ESTIMATOR_NAMES:
+            raise BadFieldError(f"bad estimator id {hs.estimator_id}")
+        return Frame(mtype, dof_count, seq, sim_time, handshake=hs)
 
     if mtype == MsgType.SHUTDOWN:
-        if flags != 0:
-            raise BadFieldError("SHUTDOWN must carry flags = 0")
-        if len(data) != HEADER_LEN:
-            raise BadLengthError(f"SHUTDOWN length {len(data)} != {HEADER_LEN}")
-        return Frame(msg_type=mtype, dof_count=dof_count, seq=seq, sim_time=sim_time)
+        if n != HEADER_LEN:
+            raise BadLengthError(f"SHUTDOWN length {n} != {HEADER_LEN}")
+        return Frame(mtype, dof_count, seq, sim_time)
 
-    n_blocks = bin(flags).count("1")
-    expected = HEADER_LEN + 8 * dof_count * n_blocks
-    if len(data) != expected:
+    if layout is HEADER_STRUCT:
+        expected = _DATA_LAYOUTS[dof_count, flags].size
         raise BadLengthError(
-            f"{mtype.name} length {len(data)} != expected {expected} "
+            f"{mtype.name} length {n} != expected {expected} "
             f"for dof_count={dof_count}, flags=0x{flags:02x}"
         )
-    offset = HEADER_LEN
-    forces = displacements = None
-    if flags & FLAG_FORCES:
-        forces = struct.unpack_from(f"<{dof_count}d", data, offset)
-        offset += 8 * dof_count
-    if flags & FLAG_DISPLACEMENTS:
-        displacements = struct.unpack_from(f"<{dof_count}d", data, offset)
-    return Frame(
-        msg_type=mtype,
-        dof_count=dof_count,
-        seq=seq,
-        sim_time=sim_time,
-        forces=forces,
-        displacements=displacements,
-    )
+    forces = fields[7 : 7 + dof_count] if flags & FLAG_FORCES else None
+    displacements = fields[-dof_count:] if flags & FLAG_DISPLACEMENTS else None
+    return Frame(mtype, dof_count, seq, sim_time, forces, displacements)

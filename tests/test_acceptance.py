@@ -171,7 +171,7 @@ def test_criterion_4_filter_property_suite():
         u = rng.normal(size=1)
         z = rng.normal(0.01, 1e-3, size=1)
         # the Kalman filter step: generic predict and update
-        x_prior, P_prior, _, _ = predict(fk, u, model)
+        x_prior, P_prior, _ = predict(fk, u, model)
         fk = update(FilterState(x_prior, P_prior, fk.noise, fk.k + 1), z, model)
         fe = ekf_step(fe, u, z, model)
     assert np.max(np.abs(fk.x - fe.x)) <= 1e-12

@@ -393,6 +393,42 @@ class TestSessions:
         assert server.stats.foreign == 1 and runner.stats.foreign == 1
         assert server.stats.duplicates == 0 and runner.stats.stale == 0
 
+    @pytest.mark.parametrize("sender", ["foreign", "undecodable"])
+    def test_chatty_sender_does_not_extend_a_wait(self, sender):
+        # A datagram every 20 ms for 1 s, from a third socket or junk
+        # from the pinned peer itself: each is skipped, and the 50 ms
+        # wait must still end on time instead of starting over.
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        other = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        for s in (sock, peer, other):
+            s.bind(("127.0.0.1", 0))
+        ep = LockstepEndpoint(sock, peer.getsockname(), timeout=0.05, max_retries=0)
+        ep.pinned = True
+        chatty = other if sender == "foreign" else peer
+        stop = threading.Event()
+
+        def spray():
+            for _ in range(50):
+                if stop.wait(0.02):
+                    return
+                chatty.sendto(b"junk", sock.getsockname())
+
+        thread = threading.Thread(target=spray, daemon=True)
+        thread.start()
+        try:
+            start = time.monotonic()
+            assert ep.recv(0.05) is None
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+            for s in (sock, peer, other):
+                s.close()
+        skipped = ep.stats.foreign if sender == "foreign" else ep.stats.decode_errors
+        assert skipped >= 1 and ep.stats.timeouts == 1
+        assert elapsed < 0.05 + 0.05
+
     def test_surrogate_timeout_raises_session_error(self):
         cfg, est, sur = zero_session()
         lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)

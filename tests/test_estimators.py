@@ -57,7 +57,7 @@ def make_state(x, P, q_var=0.0, r_var=1.0, n_obs=1):
 class TestPredict:
     def test_identity_dynamics_fixed_point(self):
         fs = make_state([0.3, -0.1], np.diag([2.0, 3.0]), q_var=0.0)
-        x_prior, P_prior, _, _ = predict(fs, np.zeros(1), identity_model())
+        x_prior, P_prior, _ = predict(fs, np.zeros(1), identity_model())
         assert_allclose(x_prior, fs.x)
         assert_allclose(P_prior, fs.P)
 
@@ -65,13 +65,13 @@ class TestPredict:
         ssm = build_state_space([CASE1], dt=1e-3)
         model = linear_transition_model(ssm)
         fs = make_state([0.01, 0.0], np.eye(2) * 1e-10, q_var=0.0)
-        x_prior, _, _, _ = predict(fs, np.zeros(1), model)
+        x_prior, _, _ = predict(fs, np.zeros(1), model)
         assert np.max(np.abs(x_prior - ssm.Phi @ fs.x)) <= 1e-12
 
     def test_additive_covariance(self):
         sigma2 = 0.7
         fs = make_state([0.0, 0.0], np.diag([1.0, 2.0]), q_var=sigma2)
-        _, P_prior, _, _ = predict(fs, np.zeros(1), identity_model())
+        _, P_prior, _ = predict(fs, np.zeros(1), identity_model())
         assert_allclose(P_prior, np.diag([1.0 + sigma2, 2.0 + sigma2]))
 
     def test_process_mean_enters_prediction(self):
@@ -80,7 +80,7 @@ class TestPredict:
             q=np.array([0.5, -0.5]), Q=np.zeros((2, 2)), r=np.zeros(1), R=np.eye(1)
         )
         fs = FilterState(x=fs.x, P=fs.P, noise=noise, k=0)
-        x_prior, _, _, _ = predict(fs, np.zeros(1), identity_model())
+        x_prior, _, _ = predict(fs, np.zeros(1), identity_model())
         assert_allclose(x_prior, [1.5, 0.5])
 
     def test_nonfinite_raises_with_step(self):
@@ -213,7 +213,7 @@ class TestFilterSteps:
             u = rng.normal(size=1)
             z = rng.normal(0.01, 0.001, size=1)
             # the Kalman filter step: generic predict and update
-            x_prior, P_prior, _, _ = predict(fk, u, model)
+            x_prior, P_prior, _ = predict(fk, u, model)
             fk = update(FilterState(x_prior, P_prior, fk.noise, fk.k + 1), z, model)
             fe = ekf_step(fe, u, z, model)
         assert np.max(np.abs(fk.x - fe.x)) <= 1e-12
@@ -240,6 +240,21 @@ class TestFilterSteps:
         assert not np.array_equal(f.noise.R, fs.noise.R)
         assert np.linalg.eigvalsh(f.noise.Q)[0] >= PSD_FLOOR - 1e-15
         assert np.linalg.eigvalsh(f.noise.R)[0] >= PSD_FLOOR - 1e-15
+
+    def test_aekf_process_mean_stays_zero_on_its_own_forced_propagation(self):
+        # Measurements that are the model's own noiseless propagation
+        # under a force leave nothing to correct, so the process-noise
+        # mean must stay at zero; a residual that left out the input
+        # term Gamma u would integrate the force into it.
+        model, fs = self._linear_setup(q_var=1e-8, r_var=1e-8)
+        rng = np.random.default_rng(3)
+        x, f = fs.x, fs
+        for _ in range(50):
+            u = rng.normal(size=1)
+            x = model.propagate(x, u)
+            f = aekf_step(f, u, model.H @ x, model, 0.96)
+            assert np.array_equal(f.x, x)
+            assert not np.any(f.noise.q), f.k
 
     def test_static_system_converges_to_sample_mean(self):
         # Static state observed in white noise: the filter with no
@@ -286,7 +301,7 @@ class TestFilterSteps:
                 u = rng.normal(size=1)
                 z = rng.normal(0.01, 1e-3, size=1)
                 f_fast = ekf_step(f_fast, u, z, model)
-                x_prior, P_prior, _, _ = predict(f_ref, u, model)
+                x_prior, P_prior, _ = predict(f_ref, u, model)
                 x_post, P_post, _, _, _ = _update_core(
                     x_prior, P_prior, z, model, f_ref.noise
                 )
@@ -363,7 +378,7 @@ def textbook_aekf_step(fs, u, z, m, forgetting_factor, clamps):
     P_post = floored("P", (np.eye(len(x_prior)) - K @ H) @ P_prior)
     b = forgetting_factor
     d = (1.0 - b) / (1.0 - b ** (fs.k + 1))
-    dx = x_post - A @ fs.x
+    dx = x_post - (x_prior - n.q)
     Ke = K @ innovation
     Q = floored("Q", (1.0 - d) * n.Q + d * (np.outer(Ke, Ke) + P_post - A @ fs.P @ A.T))
     R = floored(

@@ -73,6 +73,34 @@ def handshake_frames():
     return build()
 
 
+def shutdown_frames():
+    @st.composite
+    def build(draw):
+        return Frame(
+            msg_type=MsgType.SHUTDOWN,
+            dof_count=draw(st.integers(1, 3)),
+            seq=draw(st.integers(0, 2**32 - 1)),
+            sim_time=draw(finite),
+        )
+
+    return build()
+
+
+def reference_bytes(f: Frame) -> bytes:
+    """The documented layout packed field by field, without the codec."""
+    flags = (f.forces is not None) | (f.displacements is not None) << 1
+    out = b"RTAH" + bytes([1, int(f.msg_type), f.dof_count, flags])
+    out += f.seq.to_bytes(4, "little") + struct.pack("<d", f.sim_time)
+    for block in (f.forces, f.displacements):
+        for value in block or ():
+            out += struct.pack("<d", value)
+    if f.handshake is not None:
+        hs = f.handshake
+        out += struct.pack("<d", hs.dt) + struct.pack("<d", hs.t_end)
+        out += bytes([hs.dof_mask, hs.estimator_id])
+    return out
+
+
 class TestLayout:
     def test_reference_measurement_layout(self):
         f = Frame(
@@ -130,6 +158,22 @@ class TestLayout:
     def test_shutdown_length(self):
         f = Frame(msg_type=MsgType.SHUTDOWN, dof_count=1, seq=3, sim_time=1.0)
         assert len(encode_frame(f)) == 20
+
+
+class TestGoldenBytes:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(data_frames(), handshake_frames(), shutdown_frames()))
+    def test_codec_matches_independent_packing(self, frame):
+        data = reference_bytes(frame)
+        assert encode_frame(frame) == data
+        assert decode_frame(data) == frame
+
+    def test_frame_is_immutable_and_hashable(self):
+        a = Frame(MsgType.MEASUREMENT, 2, 9, 0.5, forces=(1.0, 2.0), displacements=(3.0, 4.0))
+        b = decode_frame(encode_frame(a))
+        with pytest.raises(AttributeError):
+            a.seq = 10
+        assert a == b and hash(a) == hash(b) and a.flags == 0b11
 
 
 class TestRoundTrip:
@@ -228,6 +272,44 @@ class TestDecodeRejections:
 
 
 class TestEncodeRejections:
+    @pytest.mark.parametrize(
+        "frame, cause",
+        [
+            pytest.param(
+                Frame(MsgType.COMMAND, 1, seq=1.0, sim_time=0.0, displacements=(0.0,)),
+                struct.error,
+                id="float-seq",
+            ),
+            pytest.param(
+                Frame(MsgType.COMMAND, 1, seq=1, sim_time="x", displacements=(0.0,)),
+                struct.error,
+                id="string-sim-time",
+            ),
+            pytest.param(
+                Frame(MsgType.COMMAND, 1, seq=1, sim_time=0.0, displacements=("a",)),
+                struct.error,
+                id="string-block-value",
+            ),
+            pytest.param(
+                Frame(
+                    MsgType.HANDSHAKE, 1, seq=0, sim_time=0.0,
+                    handshake=Handshake(dt="a", t_end=1.0, dof_mask=1, estimator_id=1),
+                ),
+                struct.error,
+                id="string-handshake-dt",
+            ),
+            pytest.param(
+                Frame(MsgType.COMMAND, 1, seq="1", sim_time=0.0, displacements=(0.0,)),
+                TypeError,
+                id="string-seq",
+            ),
+        ],
+    )
+    def test_field_that_does_not_fit_its_slot(self, frame, cause):
+        with pytest.raises(FrameEncodeError) as err:
+            encode_frame(frame)
+        assert isinstance(err.value.__cause__, cause)
+
     def test_bad_dof_count(self):
         with pytest.raises(FrameEncodeError):
             encode_frame(
