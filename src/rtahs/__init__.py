@@ -16,7 +16,6 @@ from .cases import CaseConfig, default_config
 from .config import ConfigFileError, config_from_dict, load_config
 from .cosim import (
     EstimatorSession,
-    LockstepConfig,
     LossInjector,
     SessionError,
     SurrogateSession,

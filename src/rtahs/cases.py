@@ -82,14 +82,13 @@ COUPLING_DIVERGENT = CoupledSeMatrices(
 
 @dataclass(frozen=True)
 class FilterSettings:
-    """Initial filter statistics and adaptive-loop knobs.  The adapted
-    noise means start from zero."""
+    """Initial filter statistics and the forgetting factor of the
+    ``aekf`` estimator.  The adapted noise means start from zero."""
 
     p0: float = 1e-10
     process_var: float = 1e-8
     meas_var: float = 1e-8
     forgetting_factor: float = DEFAULT_FORGETTING_FACTOR
-    adapt_enabled: bool = True
 
     def __post_init__(self):
         for name in ("p0", "process_var"):

@@ -80,12 +80,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_serve(args) -> int:
     from .cosim import NumericalServer
-    from .harness import build_estimator_session, lockstep_config, write_series
+    from .harness import build_estimator_session, write_series
 
     cfg = _load_case(args)
-    server = NumericalServer(
-        lockstep_config(cfg), build_estimator_session(cfg), bind=_parse_addr(args.bind)
-    )
+    server = NumericalServer(cfg, build_estimator_session(cfg), bind=_parse_addr(args.bind))
     print(f"numerical substructure listening on {server.address[0]}:{server.address[1]}")
     series = server.run()
     if args.out:
@@ -100,11 +98,10 @@ def _cmd_serve(args) -> int:
 
 def _cmd_physical(args) -> int:
     from .cosim import SurrogateRunner
-    from .harness import build_surrogate_session, lockstep_config
+    from .harness import build_surrogate_session
 
     cfg = _load_case(args)
-    session = build_surrogate_session(cfg)
-    runner = SurrogateRunner(lockstep_config(cfg), session, _parse_addr(args.connect))
+    runner = SurrogateRunner(cfg, build_surrogate_session(cfg), _parse_addr(args.connect))
     runner.run()
     st = runner.stats
     print(f"session complete: sent={st.sent} received={st.received} retries={st.retries}")
@@ -203,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     delayp.add_argument(
         "--compare-adaptation-off",
         action="store_true",
-        help="also run each delayed case with covariance matching disabled",
+        help="with estimator aekf, also run each delayed case with the EKF (no adaptation)",
     )
     delayp.set_defaults(func=_cmd_delay_study)
     return parser

@@ -47,8 +47,7 @@ the surrogate's noise scales and delay non-negative.  The full schema
       p0: 1.0e-10
       process_var: 1.0e-05
       meas_var: 1.0e-05
-      forgetting_factor: 0.96
-      adapt_enabled: true
+      forgetting_factor: 0.96  # used by estimator aekf only
     surrogate:
       kind: integrator        # integrator | echo
       disp_noise_std: 1.0e-05
@@ -123,10 +122,8 @@ def _check_keys(section, allowed: set[str], where: str) -> None:
 def _coerce(value, like, where: str):
     """``value`` as the type of ``like``: an int is accepted where a
     float is expected, a bool is never a number."""
-    if isinstance(like, bool) or isinstance(value, bool):
-        ok = isinstance(like, bool) and isinstance(value, bool)
-    elif isinstance(like, float):
-        ok = isinstance(value, (int, float))
+    if isinstance(like, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
         ok = type(value) is type(like)
     if not ok:

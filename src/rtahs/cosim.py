@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cases import CaseConfig
 from .dynamics import DofId
 from .estimators import (
     FilterState,
@@ -35,7 +36,7 @@ from .estimators import (
     ekf_step,
     update,
 )
-from .integrators import TimeSeries, sample_count
+from .integrators import TimeSeries, dof_series
 from .wire import (
     ESTIMATOR_IDS,
     Frame,
@@ -108,30 +109,14 @@ class SessionStats:
     foreign: int = 0  # datagrams from an address other than the peer, dropped
 
 
-@dataclass
-class LockstepConfig:
-    """Session contract both endpoints must agree on at handshake."""
-
-    dt: float
-    t_end: float
-    dofs: tuple[DofId, ...]
-    estimator: str
-    timeout: float
-    max_retries: int
-
-    @property
-    def n_samples(self) -> int:
-        return sample_count(self.t_end, self.dt)
-
-    @property
-    def handshake(self) -> Handshake:
-        """The session this config proposes, and the only one it accepts."""
-        return Handshake(
-            dt=self.dt,
-            t_end=self.t_end,
-            dof_mask=sum(1 << int(d) for d in set(self.dofs)),
-            estimator_id=ESTIMATOR_IDS[self.estimator],
-        )
+def session_handshake(cfg: CaseConfig) -> Handshake:
+    """The session a config proposes, and the only one it accepts."""
+    return Handshake(
+        dt=cfg.dt,
+        t_end=cfg.t_end,
+        dof_mask=sum(1 << int(d) for d in set(cfg.dofs)),
+        estimator_id=ESTIMATOR_IDS[cfg.estimator],
+    )
 
 
 class RetransmitTimer:
@@ -365,13 +350,10 @@ class EstimatorSession:
 
     def series(self) -> TimeSeries:
         n = self._steps_done
-        t = self.dt * np.arange(n)
-        data: dict[str, np.ndarray] = {}
-        for i, d in enumerate(self.dofs):
-            data[f"x_{d.label}"] = self._xs[:n, i].copy()
-            data[f"xdot_{d.label}"] = self._vs[:n, i].copy()
-            data[f"f_{d.label}"] = self._fs_in[:n, i].copy()
-        return TimeSeries(dt=self.dt, t=t, data=data)
+        labels = tuple(d.label for d in self.dofs)
+        return dof_series(
+            self.dt, labels, self._xs[:n].copy(), self._vs[:n].copy(), self._fs_in[:n].copy()
+        )
 
 
 class SurrogateSession:
@@ -446,7 +428,7 @@ class NumericalServer:
 
     def __init__(
         self,
-        cfg: LockstepConfig,
+        cfg: CaseConfig,
         session: EstimatorSession,
         bind: tuple[str, int] = ("127.0.0.1", 0),
         loss: Optional[LossInjector] = None,
@@ -462,7 +444,7 @@ class NumericalServer:
             self.sock.close()
             raise
         self.endpoint = LockstepEndpoint(
-            self.sock, None, cfg.timeout, cfg.max_retries, loss
+            self.sock, None, cfg.cosim.timeout, cfg.cosim.max_retries, loss
         )
 
     @property
@@ -486,23 +468,23 @@ class NumericalServer:
     def _run(self) -> TimeSeries:
         cfg = self.cfg
         ep = self.endpoint
-        n_samples = cfg.n_samples
-        budget = cfg.max_retries + 2
-        hs_budget = max(2, int(np.ceil(self.handshake_timeout / cfg.timeout)))
+        n_samples, n_dofs = cfg.n_samples, cfg.n_dofs
+        budget = cfg.cosim.max_retries + 2
+        hs_budget = max(2, int(np.ceil(self.handshake_timeout / cfg.cosim.timeout)))
+        expected = session_handshake(cfg)
         # The HANDSHAKE and the SHUTDOWN are acknowledged by their echo.
         reply = ep.answer(None, MsgType.HANDSHAKE, 0, hs_budget)
         ep.peer, ep.pinned = ep.source, True
-        if reply.handshake != cfg.handshake:
+        if reply.handshake != expected:
             raise SessionError(
-                f"handshake mismatch: peer proposed {reply.handshake}, "
-                f"expected {cfg.handshake}"
+                f"handshake mismatch: peer proposed {reply.handshake}, expected {expected}"
             )
         for k in range(n_samples):
             meas = ep.answer(reply, MsgType.MEASUREMENT, k + 1, budget)
             cmd = self.session.process(k, meas.forces, meas.displacements)
             reply = Frame(
                 msg_type=MsgType.COMMAND,
-                dof_count=len(cfg.dofs),
+                dof_count=n_dofs,
                 seq=k + 1,
                 sim_time=k * cfg.dt,
                 displacements=tuple(cmd.tolist()),
@@ -521,7 +503,7 @@ class SurrogateRunner:
 
     def __init__(
         self,
-        cfg: LockstepConfig,
+        cfg: CaseConfig,
         session: SurrogateSession,
         connect: tuple[str, int],
         loss: Optional[LossInjector] = None,
@@ -530,7 +512,7 @@ class SurrogateRunner:
         self.session = session
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.endpoint = LockstepEndpoint(
-            self.sock, connect, cfg.timeout, cfg.max_retries, loss
+            self.sock, connect, cfg.cosim.timeout, cfg.cosim.max_retries, loss
         )
 
     @property
@@ -540,7 +522,7 @@ class SurrogateRunner:
     def run(self) -> None:
         cfg = self.cfg
         ep = self.endpoint
-        n_dofs = len(cfg.dofs)
+        n_samples, n_dofs = cfg.n_samples, cfg.n_dofs
 
         def exchange(k: int, forces: np.ndarray, disps: np.ndarray) -> tuple[float, ...]:
             meas = Frame(
@@ -558,21 +540,21 @@ class SurrogateRunner:
             dof_count=n_dofs,
             seq=0,
             sim_time=0.0,
-            handshake=cfg.handshake,
+            handshake=session_handshake(cfg),
         )
         try:
             ep.request(hs, MsgType.HANDSHAKE, 0)
             ep.peer, ep.pinned = ep.source, True
-            self.session.run(cfg.n_samples, n_dofs, exchange)
+            self.session.run(n_samples, n_dofs, exchange)
 
             bye = Frame(
                 msg_type=MsgType.SHUTDOWN,
                 dof_count=n_dofs,
-                seq=cfg.n_samples + 1,
+                seq=n_samples + 1,
                 sim_time=cfg.t_end,
             )
             try:
-                ep.request(bye, MsgType.SHUTDOWN, cfg.n_samples + 1)
+                ep.request(bye, MsgType.SHUTDOWN, n_samples + 1)
             except SessionError:
                 pass  # shutdown ack lost; loop already complete
         finally:
@@ -580,7 +562,7 @@ class SurrogateRunner:
 
 
 def run_udp_pair(
-    cfg: LockstepConfig,
+    cfg: CaseConfig,
     est: EstimatorSession,
     sur: SurrogateSession,
     server_loss: Optional[LossInjector] = None,

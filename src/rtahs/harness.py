@@ -22,7 +22,6 @@ from .cases import (
 )
 from .cosim import (
     EstimatorSession,
-    LockstepConfig,
     LossInjector,
     SessionStats,
     SurrogateSession,
@@ -53,17 +52,16 @@ class CaseResult:
 
 
 def build_estimator_session(cfg: CaseConfig, trace_covariance: bool = False) -> EstimatorSession:
-    """Estimator side of a case: the adaptive EKF step for ``aekf`` with
-    adaptation on, else the EKF step (the KF step on a linear model)."""
+    """Estimator side of a case: the adaptive EKF step for ``aekf``, else
+    the EKF step (the KF step on a linear model)."""
     model = filter_model(cfg)
-    adapt = cfg.estimator == "aekf" and cfg.filter.adapt_enabled
     return EstimatorSession(
         model=model,
         init=initial_filter_state(cfg, model),
         dofs=cfg.dofs,
         dt=cfg.dt,
         n_samples=cfg.n_samples,
-        forgetting_factor=cfg.filter.forgetting_factor if adapt else None,
+        forgetting_factor=cfg.filter.forgetting_factor if cfg.estimator == "aekf" else None,
         trace_covariance=trace_covariance,
     )
 
@@ -81,17 +79,6 @@ def build_surrogate_session(cfg: CaseConfig) -> SurrogateSession:
     )
 
 
-def lockstep_config(cfg: CaseConfig) -> LockstepConfig:
-    return LockstepConfig(
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        dofs=cfg.dofs,
-        estimator=cfg.estimator,
-        timeout=cfg.cosim.timeout,
-        max_retries=cfg.cosim.max_retries,
-    )
-
-
 def run_loop(cfg: CaseConfig, trace_covariance: bool = False):
     """Run only the hybrid loop of a case; returns (series, server
     stats, surrogate stats, min covariance eigenvalue seen)."""
@@ -101,9 +88,7 @@ def run_loop(cfg: CaseConfig, trace_covariance: bool = False):
         loss_rate = cfg.cosim.loss_rate
         server_loss = LossInjector(loss_rate, seed=cfg.seed + 1) if loss_rate else None
         sur_loss = LossInjector(loss_rate, seed=cfg.seed + 2) if loss_rate else None
-        series, sstats, pstats = run_udp_pair(
-            lockstep_config(cfg), est, sur, server_loss, sur_loss
-        )
+        series, sstats, pstats = run_udp_pair(cfg, est, sur, server_loss, sur_loss)
     else:
         series = run_in_process(est, sur, cfg.n_samples)
         sstats = pstats = None
@@ -144,7 +129,7 @@ def run_case(cfg: CaseConfig) -> CaseResult:
 class DelayStudyRow:
     tau: float
     metrics: dict[str, ComparisonMetrics]
-    adaptation: bool = True
+    adaptation: bool  # the run's filter adapts its noise statistics (aekf)
 
 
 def run_delay_study(
@@ -154,9 +139,10 @@ def run_delay_study(
     deviation from the single undelayed reference of the study (per
     displacement channel).
 
-    With ``compare_adaptation_off`` an extra row per nonzero delay runs
-    the same filter with covariance matching switched off, against the
-    same reference, quantifying what the adaptation buys under delay.
+    With ``compare_adaptation_off`` an AEKF study gets an extra row per
+    nonzero delay that runs the EKF, the same filter without covariance
+    matching, against the same reference, quantifying what the
+    adaptation buys under delay.
     """
     for tau in taus:
         if tau < 0:
@@ -164,23 +150,20 @@ def run_delay_study(
     base_cfg = replace(cfg, surrogate=replace(cfg.surrogate, delay_tau=0.0))
     reference, _, _, _ = run_loop(base_cfg)
 
-    def one_run(run_cfg, tau, adaptation):
+    def one_run(run_cfg):
         series, _, _, _ = run_loop(run_cfg)
         metrics = {
             f"x_{d.label}": compare_series(reference, series, f"x_{d.label}")
             for d in cfg.dofs
         }
-        return DelayStudyRow(tau=tau, metrics=metrics, adaptation=adaptation)
+        return DelayStudyRow(run_cfg.surrogate.delay_tau, metrics, run_cfg.estimator == "aekf")
 
     rows = []
     for tau in taus:
         run_cfg = replace(cfg, surrogate=replace(cfg.surrogate, delay_tau=tau))
-        rows.append(one_run(run_cfg, tau, cfg.filter.adapt_enabled))
+        rows.append(one_run(run_cfg))
         if compare_adaptation_off and tau > 0 and cfg.estimator == "aekf":
-            off_cfg = replace(
-                run_cfg, filter=replace(run_cfg.filter, adapt_enabled=False)
-            )
-            rows.append(one_run(off_cfg, tau, False))
+            rows.append(one_run(replace(run_cfg, estimator="ekf")))
     return rows
 
 

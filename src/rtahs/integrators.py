@@ -1,8 +1,8 @@
 """Oracle time integrators: the Newmark-beta step matrix and the classical
 fixed-step RK4 kernels, the steppers built on them (one precomputed
 matrix step for linear time-invariant cases, scalar RK4 for the
-nonlinear one), and the ``simulate`` driver producing uniformly sampled
-time series.
+nonlinear one), the ``simulate`` driver producing uniformly sampled
+time series, and ``dof_series``, the channel layout of every trajectory.
 """
 
 from __future__ import annotations
@@ -255,8 +255,8 @@ def simulate(
 ) -> TimeSeries:
     """Sample a fresh stepper on its fixed grid from t = 0.
 
-    Produces :func:`sample_count` samples with channels ``x_<dof>``,
-    ``xdot_<dof>`` and the applied force ``f_<dof>`` per DOF.  Divergent
+    Produces :func:`sample_count` samples of the state and the applied
+    force, laid out by :func:`dof_series`.  Divergent
     runs are truncated and the truncation step is flagged on the
     returned series: a step whose state turns non-finite holds the last
     finite sample from there on, and a step whose largest |x_i| exceeds
@@ -284,11 +284,23 @@ def simulate(
             break
     if truncated_step is not None:
         xs[held:], vs[held:], fs[held:] = xs[held - 1], vs[held - 1], fs[held - 1]
+    return dof_series(dt, labels, xs, vs, fs, truncated_step)
 
-    t = dt * np.arange(n_samp)
+
+def dof_series(
+    dt: float,
+    labels: tuple[str, ...],
+    xs: np.ndarray,
+    vs: np.ndarray,
+    fs: np.ndarray,
+    truncated_step: Optional[int] = None,
+) -> TimeSeries:
+    """The channel layout of every trajectory: ``x_<dof>``, ``xdot_<dof>``
+    and ``f_<dof>`` per DOF, from column i of the sample arrays (one row
+    per sample on the grid 0, dt, ...).  The columns are views."""
     data: dict[str, np.ndarray] = {}
     for i, lab in enumerate(labels):
         data[f"x_{lab}"] = xs[:, i]
         data[f"xdot_{lab}"] = vs[:, i]
         data[f"f_{lab}"] = fs[:, i]
-    return TimeSeries(dt=dt, t=t, data=data, truncated_step=truncated_step)
+    return TimeSeries(dt=dt, t=dt * np.arange(len(xs)), data=data, truncated_step=truncated_step)

@@ -29,7 +29,6 @@ from rtahs.estimators import (
 from rtahs.harness import (
     build_estimator_session,
     build_surrogate_session,
-    lockstep_config,
     run_delay_study,
     run_loop,
     run_oracle,
@@ -359,7 +358,7 @@ def test_criterion_7_protocol_suite():
                 server_loss=LossInjector(0.1, seed=11),
                 surrogate_loss=LossInjector(0.1, seed=12),
             )
-        return run_udp_pair(lockstep_config(cfg), est, sur, **kwargs)
+        return run_udp_pair(cfg, est, sur, **kwargs)
 
     clean, _, _ = loop(False)
     lossy, sstats, pstats = loop(True)
@@ -378,7 +377,7 @@ def test_criterion_7_protocol_suite():
 def clean_criterion_7_session():
     cfg = default_config("case1-linear", t_end=1.0)
     series, _, _ = run_udp_pair(
-        lockstep_config(cfg), build_estimator_session(cfg), build_surrogate_session(cfg)
+        cfg, build_estimator_session(cfg), build_surrogate_session(cfg)
     )
     return series
 
@@ -390,7 +389,7 @@ def test_criterion_7_loss_session_survives_other_seeds(seed, clean_criterion_7_s
     # which the surrogate resends at the estimated retransmission timeout.
     cfg = default_config("case1-linear", t_end=1.0)
     lossy, sstats, pstats = run_udp_pair(
-        lockstep_config(cfg),
+        cfg,
         build_estimator_session(cfg),
         build_surrogate_session(cfg),
         server_loss=LossInjector(0.1, seed=seed),

@@ -24,11 +24,11 @@ from rtahs.cosim import (
     SurrogateRunner,
     SurrogateSession,
     run_udp_pair,
+    session_handshake,
 )
 from rtahs.harness import (
     build_estimator_session,
     build_surrogate_session,
-    lockstep_config,
     run_loop,
 )
 from rtahs.metrics import compare_series
@@ -168,7 +168,7 @@ def zero_session(n_samples=50, estimator="kf"):
 class TestSessions:
     def test_zero_force_zero_init_all_zero_commands(self):
         cfg, est, sur = zero_session()
-        series, sstats, pstats = run_udp_pair(lockstep_config(cfg), est, sur)
+        series, sstats, pstats = run_udp_pair(cfg, est, sur)
         assert np.all(series.channel("x_heave") == 0.0)
         assert np.all(series.channel("f_heave") == 0.0)
         assert sstats.retries == 0 and pstats.retries == 0
@@ -205,11 +205,11 @@ class TestSessions:
 
     def test_loss_recovery_trajectory_unchanged(self):
         cfg0, est0, sur0 = zero_session(n_samples=200)
-        clean, _, _ = run_udp_pair(lockstep_config(cfg0), est0, sur0)
+        clean, _, _ = run_udp_pair(cfg0, est0, sur0)
 
         cfg1, est1, sur1 = zero_session(n_samples=200)
         lossy, sstats, pstats = run_udp_pair(
-            lockstep_config(cfg1),
+            cfg1,
             est1,
             sur1,
             server_loss=LossInjector(0.1, seed=3),
@@ -222,7 +222,7 @@ class TestSessions:
 
     def test_lossless_statistics_conserve(self):
         cfg, est, sur = zero_session(n_samples=120)
-        _, sstats, pstats = run_udp_pair(lockstep_config(cfg), est, sur)
+        _, sstats, pstats = run_udp_pair(cfg, est, sur)
         # every datagram one peer sent was consumed by the other side as
         # accepted, stale, duplicate, or undecodable
         assert pstats.sent == sstats.received + sstats.stale + sstats.duplicates + sstats.decode_errors
@@ -232,7 +232,7 @@ class TestSessions:
     def test_lossy_statistics_accounting(self):
         cfg, est, sur = zero_session(n_samples=150)
         _, sstats, pstats = run_udp_pair(
-            lockstep_config(cfg),
+            cfg,
             est,
             sur,
             server_loss=LossInjector(0.1, seed=6),
@@ -252,8 +252,8 @@ class TestSessions:
         from rtahs.cosim import NumericalServer, SurrogateRunner
 
         cfg, est, sur = zero_session()
-        bad = replace(lockstep_config(cfg), dt=cfg.dt * 2, timeout=0.02, max_retries=1)
-        server = NumericalServer(lockstep_config(cfg), est)
+        bad = replace(cfg, dt=cfg.dt * 2, cosim=replace(cfg.cosim, timeout=0.02, max_retries=1))
+        server = NumericalServer(cfg, est)
         runner = SurrogateRunner(bad, sur, server.address)
 
         def surrogate_side():
@@ -280,7 +280,7 @@ class TestSessions:
         from rtahs.wire import Frame, MsgType, decode_frame, encode_frame
 
         cfg, est, sur = zero_session(n_samples=50)
-        lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)
+        lcfg = replace(cfg, cosim=replace(cfg.cosim, timeout=0.02, max_retries=1))
         server = NumericalServer(lcfg, est)
         addr = server.address
 
@@ -292,7 +292,7 @@ class TestSessions:
                 dof_count=1,
                 seq=0,
                 sim_time=0.0,
-                handshake=lcfg.handshake,
+                handshake=session_handshake(lcfg),
             )
             sock.sendto(encode_frame(hs), addr)
             sock.recvfrom(65535)
@@ -328,7 +328,7 @@ class TestSessions:
         # sees, chained to the server's, with the server's partial series
         # attached.
         cfg, est, sur = zero_session(n_samples=50)
-        lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=3)
+        lcfg = replace(cfg, cosim=replace(cfg.cosim, timeout=0.02, max_retries=3))
         with pytest.raises(SessionError) as err:
             run_udp_pair(lcfg, est, sur, server_loss=LossInjector(0.99, seed=153))
         assert "no reply to MEASUREMENT seq 1 within 80 ms (3 resends)" in str(err.value)
@@ -349,8 +349,7 @@ class TestSessions:
 
         cfg = default_config("case1-linear", t_end=1.0)
         clean, _, _, _ = run_loop(replace(cfg, mode="udp"))
-        lcfg = lockstep_config(cfg)
-        server = NumericalServer(lcfg, build_estimator_session(cfg), handshake_timeout=5.0)
+        server = NumericalServer(cfg, build_estimator_session(cfg), handshake_timeout=5.0)
         sur = build_surrogate_session(cfg)
         intruder = socket_mod.socket(socket_mod.AF_INET, socket_mod.SOCK_DGRAM)
         advance, advanced = sur.advance, []
@@ -378,7 +377,7 @@ class TestSessions:
                 intruder.sendto(encode_frame(cmd), runner.sock.getsockname())
 
         sur.advance = advance_then_intrude
-        runner = SurrogateRunner(lcfg, sur, server.address)
+        runner = SurrogateRunner(cfg, sur, server.address)
         thread = threading.Thread(target=runner.run, daemon=True)
         thread.start()
         try:
@@ -431,8 +430,8 @@ class TestSessions:
 
     def test_surrogate_timeout_raises_session_error(self):
         cfg, est, sur = zero_session()
-        lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)
-        budget = (lcfg.max_retries + 1) * lcfg.timeout
+        lcfg = replace(cfg, cosim=replace(cfg.cosim, timeout=0.02, max_retries=1))
+        budget = (lcfg.cosim.max_retries + 1) * lcfg.cosim.timeout
 
         # Nothing answers the handshake: with no round-trip sample yet the
         # retransmission timeout is the whole timeout, as it always was.
@@ -440,7 +439,7 @@ class TestSessions:
         with pytest.raises(SessionError) as err:
             runner.run()
         assert err.value.last_good_step is None
-        assert runner.stats.retries == lcfg.max_retries
+        assert runner.stats.retries == lcfg.cosim.max_retries
         assert runner.sock.fileno() == -1
 
         # A peer that answers the handshake, answers the first measurement
@@ -484,12 +483,12 @@ class TestSessions:
         measurements = [t for kind, seq, t in sends if (kind, seq) == (MsgType.MEASUREMENT, 3)]
         assert "no reply to MEASUREMENT seq 3" in str(err.value)
         assert failed_at - measurements[0] >= budget
-        assert len(measurements) - 1 > lcfg.max_retries
+        assert len(measurements) - 1 > lcfg.cosim.max_retries
         assert measurements[-1] - measurements[0] < budget
 
     def test_server_without_peer_raises_with_no_good_step(self):
         cfg, est, _ = zero_session()
-        lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)
+        lcfg = replace(cfg, cosim=replace(cfg.cosim, timeout=0.02, max_retries=1))
         server = NumericalServer(lcfg, est, handshake_timeout=0.05)
         with pytest.raises(SessionError, match="peer went silent") as err:
             server.run()
@@ -501,11 +500,11 @@ class TestSessions:
         # HANDSHAKE repeated after two exchanges is not that frame: it is
         # dropped, and MEASUREMENT 3 gets COMMAND 3 as its next reply.
         cfg, est, _ = zero_session(n_samples=4)
-        lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)
+        lcfg = replace(cfg, cosim=replace(cfg.cosim, timeout=0.02, max_retries=1))
         server = NumericalServer(lcfg, est)
         hs = Frame(
             msg_type=MsgType.HANDSHAKE, dof_count=1, seq=0, sim_time=0.0,
-            handshake=lcfg.handshake,
+            handshake=session_handshake(lcfg),
         )
         bye = Frame(msg_type=MsgType.SHUTDOWN, dof_count=1, seq=5, sim_time=lcfg.t_end)
         replies = []
@@ -585,7 +584,7 @@ class TestSessions:
 
         monkeypatch.setattr(cosim, "SurrogateRunner", RecordedRunner)
         cfg, est, sur = zero_session(n_samples=5)
-        lcfg = replace(lockstep_config(cfg), timeout=0.02, max_retries=1)
+        lcfg = replace(cfg, cosim=replace(cfg.cosim, timeout=0.02, max_retries=1))
         release, apply_command, commands = threading.Event(), sur.apply_command, []
 
         def stall_on_last(displacements):

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from finite_difference import numeric_jacobian
 from rtahs import cosim, estimators
 from rtahs.aero import heave_acceleration, heave_jacobian
-from rtahs.cases import FilterSettings, default_config, nonlinear_heave_model
+from rtahs.cases import FilterSettings, nonlinear_heave_model
 from rtahs.config import load_config
 from rtahs.dynamics import DofId, ModalParams, build_state_space
 from rtahs.estimators import (
@@ -218,16 +218,6 @@ class TestFilterSteps:
             fe = ekf_step(fe, u, z, model)
         assert np.max(np.abs(fk.x - fe.x)) <= 1e-12
         assert np.max(np.abs(fk.P - fe.P)) <= 1e-12
-
-    def test_aekf_with_adaptation_disabled_equals_ekf(self):
-        # a case2dof run of the AEKF with adaptation off is the EKF run,
-        # bit for bit on every channel
-        cfg = default_config("case2dof", t_end=1.0)
-        off, _, _, _ = run_loop(replace(cfg, filter=replace(cfg.filter, adapt_enabled=False)))
-        ekf, _, _, _ = run_loop(replace(cfg, estimator="ekf"))
-        assert off.channels == ekf.channels
-        for ch in ekf.channels:
-            assert np.array_equal(off.channel(ch), ekf.channel(ch)), ch
 
     def test_aekf_adapts_noise_statistics(self):
         model, fs = self._linear_setup(q_var=1e-8, r_var=1e-8)

@@ -174,6 +174,14 @@ class TestDelayStudy:
             (0.05, False),
         ]
 
+    @pytest.mark.parametrize("case", ["case1-linear", "case1-nonlinear"])
+    def test_filters_without_adaptation_label_their_rows_false(self, case):
+        # the KF and the EKF never adapt, so no row of theirs reads
+        # adaptation, and there is no adaptation to switch off
+        cfg = default_config(case, t_end=0.5)
+        rows = run_delay_study(cfg, [0.0, 0.01], compare_adaptation_off=True)
+        assert [(r.tau, r.adaptation) for r in rows] == [(0.0, False), (0.01, False)]
+
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             run_delay_study(default_config("case2dof", t_end=1.0), [-0.1])
@@ -287,6 +295,13 @@ class TestConfigFiles:
             cfg = load_config(root / name)
             assert cfg.case == case
             assert cfg.estimator == estimator
+            # each file shows its case's defaults; the one documented
+            # difference is that case2dof runs over UDP
+            expected = default_config(case)
+            if case == "case2dof":
+                assert cfg.mode == "udp" and expected.mode == "in-process"
+                expected = replace(expected, mode="udp")
+            assert cfg == expected, name
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigFileError):
@@ -314,6 +329,9 @@ class TestConfigFiles:
             {"structure": {"x0": {"heave": 3}}},
             {"structure": {"x_hat0": 5}},
             {"filter": {"adapt_enabled": "no"}},
+            {"filter": {"p0": True}},
+            {"cosim": {"max_retries": True}},
+            {"seed": False},
             {"cosim": {"max_retries": "abc"}},
             {"filter": {"p0": "abc"}},
             {"cosim": {"timeout": 0}},
@@ -540,10 +558,10 @@ class TestCli:
 
         from rtahs.cases import default_config as dc
         from rtahs.cosim import NumericalServer
-        from rtahs.harness import build_estimator_session, lockstep_config
+        from rtahs.harness import build_estimator_session
 
         cfg = dc("case1-linear", t_end=0.2)
-        server = NumericalServer(lockstep_config(cfg), build_estimator_session(cfg))
+        server = NumericalServer(cfg, build_estimator_session(cfg))
         host, port = server.address
 
         rcs = {}
