@@ -127,6 +127,10 @@ def _cmd_delay_study(args) -> int:
     from .harness import FLOAT_FMT, run_delay_study
 
     cfg = _load_case(args)
+    if args.compare_adaptation_off and cfg.estimator != "aekf":
+        raise ValueError(
+            f"--compare-adaptation-off needs estimator aekf; {cfg.estimator} does not adapt"
+        )
     taus = [float(v) for v in args.taus.split(",") if v != ""]
     rows = run_delay_study(cfg, taus, compare_adaptation_off=args.compare_adaptation_off)
     lines = ["tau,adaptation,channel,rms_error,peak_error,normalized_rms,envelope"]
@@ -200,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     delayp.add_argument(
         "--compare-adaptation-off",
         action="store_true",
-        help="with estimator aekf, also run each delayed case with the EKF (no adaptation)",
+        help="estimator aekf only: also run each delayed case with the EKF (no adaptation)",
     )
     delayp.set_defaults(func=_cmd_delay_study)
     return parser

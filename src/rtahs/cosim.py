@@ -17,6 +17,7 @@ recoverable loss.
 from __future__ import annotations
 
 import random
+import select
 import socket
 import threading
 import time
@@ -39,6 +40,7 @@ from .estimators import (
 from .integrators import TimeSeries, dof_series
 from .wire import (
     ESTIMATOR_IDS,
+    MAX_FRAME_LEN,
     Frame,
     FrameDecodeError,
     Handshake,
@@ -47,16 +49,19 @@ from .wire import (
     encode_frame,
 )
 
-# Floor of the retransmission timeout: one lockstep step (dt = 1 ms) is
-# too close to the round trip.  On the 1%-loss case1-linear UDP loop
-# (10 ms timeout, 10-s rounds interleaved in one process pinned to one
-# CPU of a 2-vCPU VM, 8 rounds each) the median step p50 read 142.8 us
-# with a 1 ms floor, 127.7 us at 2 ms and 129.3 us at 3 ms, and only
-# the 1 ms floor resent early (up to 6 spurious resends per round).
-RTO_MIN = 0.002
+# Floor of the retransmission timeout: half of the shipped dt = 1 ms, so
+# a lost datagram is resent inside the step budget.  On the 1%-loss
+# case1-linear UDP loop (10 ms timeout, 30-s runs pinned to one CPU of a
+# 2-vCPU VM, ten alternating pairs) the step p99 read 2,404 us with a
+# 2 ms floor and 772 us with this one, and the step p50 116 and 136 us:
+# there a timer shorter than the 4 ms kernel tick costs about 10 us.
+RTO_MIN = 0.0005
 RTT_ALPHA = 1 / 8  # gain of the smoothed round trip (RFC 6298)
 RTT_BETA = 1 / 4  # gain of its mean deviation
 JOIN_TIMEOUT = 10.0  # seconds run_udp_pair waits for the surrogate thread
+# One byte past the longest frame: a longer datagram still reads longer
+# than any frame and fails decoding as a length error.
+RECV_BUFSIZE = MAX_FRAME_LEN + 1
 
 
 def _last_good_step(want_seq: int) -> Optional[int]:
@@ -151,6 +156,9 @@ class LockstepEndpoint:
     the handshake it accepts, the surrogate the sender of the reply.
     From then on datagrams from any other address are dropped and
     counted as ``foreign``.
+
+    The socket stays blocking and never gets a timeout: :meth:`ready`
+    waits, and the read that follows does not block.
     """
 
     def __init__(
@@ -172,7 +180,6 @@ class LockstepEndpoint:
         self.timer = RetransmitTimer(timeout)
         self.lossy = False  # a wait of this endpoint has expired before
         self.clock = time.monotonic
-        self._wait: Optional[float] = None  # the socket's timeout
 
     def send(self, frame: Frame) -> None:
         self.stats.sent += 1
@@ -181,29 +188,32 @@ class LockstepEndpoint:
             return
         self.sock.sendto(encode_frame(frame), self.peer)
 
+    def ready(self, timeout: float) -> bool:
+        """Whether a datagram has come within ``timeout`` seconds.
+
+        ``select`` waits to the microsecond, where a socket timeout waits
+        whole milliseconds.  It refuses file descriptors of 1024 and
+        above."""
+        return bool(select.select((self.sock,), (), (), timeout)[0])
+
     def recv(self, timeout: float) -> Optional[Frame]:
         """One receive attempt within ``timeout`` seconds; returns None
         on timeout.  Foreign and undecodable datagrams are skipped, and
         however many come, the wait ends ``timeout`` after it began."""
         start, wait = self.clock(), timeout
-        while wait > 0.0:
-            if wait != self._wait:  # settimeout costs a system call
-                self.sock.settimeout(wait)
-                self._wait = wait
+        while wait > 0.0 and self.ready(wait):
             try:
-                data, addr = self.sock.recvfrom(65535)
-            except socket.timeout:
-                break
-            if self.pinned and addr != self.peer:
-                self.stats.foreign += 1
-            else:
-                try:
-                    frame = decode_frame(data)
-                except FrameDecodeError:
-                    self.stats.decode_errors += 1
+                data, addr = self.sock.recvfrom(RECV_BUFSIZE, socket.MSG_DONTWAIT)
+                if self.pinned and addr != self.peer:
+                    self.stats.foreign += 1
                 else:
+                    frame = decode_frame(data)
                     self.source = addr
                     return frame
+            except BlockingIOError:  # reported ready, then dropped by the kernel
+                pass
+            except FrameDecodeError:
+                self.stats.decode_errors += 1
             wait = start + timeout - self.clock()
         self.stats.timeouts += 1
         return None
@@ -215,8 +225,8 @@ class LockstepEndpoint:
         doubles the wait up to ``timeout`` and keeps it as the
         retransmission timeout.  The first wait is the retransmission
         timeout once a wait of this endpoint has expired, and the whole
-        ``timeout`` on a link that has not lost a frame: arming a 2 ms
-        kernel timer on every exchange slowed the clean UDP step by about
+        ``timeout`` on a link that has not lost a frame: a 2 ms socket
+        timeout armed on every exchange slowed the clean UDP step by about
         9% on a 2-vCPU VM, and such a link has nothing to recover.  The
         request fails only when no reply has come within
         ``(max_retries + 1) * timeout`` of the first send.  A reply to a
@@ -228,8 +238,8 @@ class LockstepEndpoint:
         budget = (self.max_retries + 1) * self.timeout
         deadline = start + budget
         wait = self.timer.rto if self.lossy else self.timeout
-        # ``start + wait - start`` can round up past a whole millisecond,
-        # and the socket rounds its wait up to the next one
+        # the first wait is exactly the estimate, which
+        # ``start + wait - start`` need not be
         remaining = min(wait, budget)
         expiry = start + remaining
         resends = 0
@@ -260,7 +270,7 @@ class LockstepEndpoint:
                     self.timer.sample(clock() - start)
                 self.stats.received += 1
                 return frame
-            # a zero timeout would make the socket non-blocking
+            # a wait of zero would not look at the socket
             remaining = max(expiry - clock(), 1e-6)
 
     def answer(

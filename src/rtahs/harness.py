@@ -137,7 +137,7 @@ def run_delay_study(
 ) -> list[DelayStudyRow]:
     """Run the case once per force-channel delay and report each run's
     deviation from the single undelayed reference of the study (per
-    displacement channel).
+    displacement channel).  A zero delay is that reference run itself.
 
     With ``compare_adaptation_off`` an AEKF study gets an extra row per
     nonzero delay that runs the EKF, the same filter without covariance
@@ -151,7 +151,7 @@ def run_delay_study(
     reference, _, _, _ = run_loop(base_cfg)
 
     def one_run(run_cfg):
-        series, _, _, _ = run_loop(run_cfg)
+        series = reference if run_cfg.surrogate.delay_tau == 0 else run_loop(run_cfg)[0]
         metrics = {
             f"x_{d.label}": compare_series(reference, series, f"x_{d.label}")
             for d in cfg.dofs

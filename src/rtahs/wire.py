@@ -62,6 +62,8 @@ _DATA_LAYOUTS = {
     for dof in (1, 2, 3)
     for flags in range(4)
 }
+# The longest frame: three dofs with both blocks, 68 bytes (a HANDSHAKE is 38).
+MAX_FRAME_LEN = max(layout.size for layout in _DATA_LAYOUTS.values())
 
 
 class FrameError(Exception):

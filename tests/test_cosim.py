@@ -15,6 +15,7 @@ from rtahs.aero import linear_se_force
 from rtahs.cases import EchoGenerator, SurrogateSettings, default_config
 from rtahs import cosim, harness
 from rtahs.cosim import (
+    RECV_BUFSIZE,
     RTO_MIN,
     LockstepEndpoint,
     LossInjector,
@@ -32,7 +33,7 @@ from rtahs.harness import (
     run_loop,
 )
 from rtahs.metrics import compare_series
-from rtahs.wire import Frame, MsgType, decode_frame, encode_frame
+from rtahs.wire import BadLengthError, Frame, MsgType, decode_frame, encode_frame
 
 
 class ForceSequence:
@@ -428,6 +429,34 @@ class TestSessions:
         assert skipped >= 1 and ep.stats.timeouts == 1
         assert elapsed < 0.05 + 0.05
 
+    def test_oversize_datagram_is_a_decode_error(self):
+        # The longest frame padded to 1 KB, from the pinned peer.  The read
+        # takes one byte past the longest frame, so the datagram fails as
+        # a length error instead of reading as the frame it starts with.
+        frame = Frame(
+            msg_type=MsgType.MEASUREMENT, dof_count=3, seq=1, sim_time=0.0,
+            forces=(1.0, 2.0, 3.0), displacements=(4.0, 5.0, 6.0),
+        )
+        data = encode_frame(frame).ljust(1024, b"\0")
+        with pytest.raises(BadLengthError):
+            decode_frame(data[:RECV_BUFSIZE])
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            for s in (sock, peer):
+                s.bind(("127.0.0.1", 0))
+            ep = LockstepEndpoint(sock, peer.getsockname(), timeout=0.05, max_retries=0)
+            ep.pinned = True
+            peer.sendto(data, sock.getsockname())
+            start = time.monotonic()
+            assert ep.recv(0.05) is None
+            elapsed = time.monotonic() - start
+        finally:
+            sock.close()
+            peer.close()
+        assert ep.stats.decode_errors == 1 and ep.stats.timeouts == 1
+        assert 0.04 < elapsed < 0.05 + 0.05
+
     def test_surrogate_timeout_raises_session_error(self):
         cfg, est, sur = zero_session()
         lcfg = replace(cfg, cosim=replace(cfg.cosim, timeout=0.02, max_retries=1))
@@ -609,8 +638,8 @@ class TestSessions:
 class FakeLink:
     """A socket and a clock for one endpoint: every frame sent is
     answered by a COMMAND of the same seq ``rtt`` later, unless its send
-    index is in ``drop``.  A receive that times out advances the clock by
-    the timeout."""
+    index is in ``drop``.  A wait that sees nothing advances the clock by
+    its whole timeout."""
 
     PEER = ("127.0.0.1", 1)
 
@@ -620,15 +649,19 @@ class FakeLink:
         self.drop = set(drop)
         self.sends: list[float] = []
         self.inbox: list[tuple[float, bytes]] = []
-        self.timeout = None
         self.timeouts: list[float] = []
 
     def clock(self) -> float:
         return self.now
 
-    def settimeout(self, timeout: float) -> None:
-        self.timeout = timeout
+    def ready(self, timeout: float) -> bool:
         self.timeouts.append(timeout)
+        self.inbox.sort()
+        if not self.inbox or self.inbox[0][0] > self.now + timeout:
+            self.now += timeout
+            return False
+        self.now = max(self.now, self.inbox[0][0])
+        return True
 
     def sendto(self, data: bytes, addr) -> None:
         if len(self.sends) not in self.drop:
@@ -640,14 +673,22 @@ class FakeLink:
             self.inbox.append((self.now + self.rtt, encode_frame(reply)))
         self.sends.append(self.now)
 
-    def recvfrom(self, bufsize: int):
-        self.inbox.sort()
-        if not self.inbox or self.inbox[0][0] > self.now + self.timeout:
-            self.now += self.timeout
-            raise socket.timeout
-        arrival, data = self.inbox.pop(0)
-        self.now = max(self.now, arrival)
-        return data, self.PEER
+    def recvfrom(self, bufsize: int, flags: int):
+        assert flags == socket.MSG_DONTWAIT
+        return self.inbox.pop(0)[1], self.PEER
+
+
+class VanishingLink(FakeLink):
+    """Reports a datagram ``after`` seconds into the first wait that the
+    read then finds gone, as when the kernel drops it in between."""
+
+    def __init__(self, after: float):
+        super().__init__(rtt=0.0)
+        self.inbox.append((after, b""))
+
+    def recvfrom(self, bufsize: int, flags: int):
+        self.inbox.pop(0)
+        raise BlockingIOError
 
 
 def measurement(seq: int) -> Frame:
@@ -658,6 +699,10 @@ def measurement(seq: int) -> Frame:
 
 
 class TestRetransmitTimer:
+    # Round trips and waits are fractions of the floor, so each test keeps
+    # its shape whatever the floor is; a first sample R gives 3 R.
+    RTT = RTO_MIN / 4
+
     def test_rfc6298_arithmetic(self):
         timer = RetransmitTimer(1.0)
         assert timer.srtt is None and timer.rto == 1.0
@@ -677,18 +722,18 @@ class TestRetransmitTimer:
 
     def endpoint(self, link: FakeLink, timeout=0.1, max_retries=3) -> LockstepEndpoint:
         ep = LockstepEndpoint(link, link.PEER, timeout, max_retries)
-        ep.clock = link.clock
+        ep.clock, ep.ready = link.clock, link.ready
         return ep
 
     def test_first_exchange_waits_the_whole_timeout(self):
-        link = FakeLink(rtt=5e-4, drop={0})
+        link = FakeLink(rtt=self.RTT, drop={0})
         ep = self.endpoint(link)
         ep.request(measurement(1), MsgType.COMMAND, 1)
         assert link.sends == [0.0, pytest.approx(0.1)]
         assert ep.stats.retries == 1 and ep.timer.srtt is None  # Karn's rule
 
     def test_link_without_loss_waits_the_whole_timeout(self):
-        link = FakeLink(rtt=5e-4, drop={1})
+        link = FakeLink(rtt=self.RTT, drop={1})
         ep = self.endpoint(link)
         ep.request(measurement(1), MsgType.COMMAND, 1)
         assert ep.timer.rto == RTO_MIN and not ep.lossy
@@ -708,51 +753,63 @@ class TestRetransmitTimer:
         return ep
 
     def test_karn_rule_and_resend_at_the_estimate(self):
-        link = FakeLink(rtt=6e-4, drop={3})
+        link = FakeLink(rtt=0.3 * RTO_MIN, drop={3})
         ep = self.lossy_endpoint(link)
         assert ep.timer.rto == RTO_MIN
         start, waits = link.now, len(link.timeouts)
         ep.request(measurement(3), MsgType.COMMAND, 3)  # resent: no sample
-        # exactly the estimate: the socket rounds its wait up to whole ms
-        assert link.timeouts[waits] == RTO_MIN
+        assert link.timeouts[waits] == RTO_MIN  # exactly the estimate
         assert link.sends[4] - start == pytest.approx(RTO_MIN)
-        assert ep.timer.srtt == pytest.approx(6e-4) and ep.stats.retries == 2
-        link.rtt = 1e-3
+        assert ep.timer.srtt == pytest.approx(0.3 * RTO_MIN) and ep.stats.retries == 2
+        link.rtt = RTO_MIN / 2
         ep.request(measurement(4), MsgType.COMMAND, 4)  # clean again
-        assert ep.timer.srtt == pytest.approx(0.875 * 6e-4 + 0.125 * 1e-3)
+        assert ep.timer.srtt == pytest.approx((0.875 * 0.3 + 0.125 * 0.5) * RTO_MIN)
 
     def test_backoff_doubles_to_the_timeout_until_the_budget_is_spent(self):
-        link = FakeLink(rtt=5e-4, drop=set(range(3, 100)))
+        link = FakeLink(rtt=self.RTT, drop=set(range(3, 100)))
         ep = self.lossy_endpoint(link, timeout=0.1, max_retries=3)
         start = link.now
-        with pytest.raises(SessionError, match=r"within 400 ms \(8 resends\)"):
+        # from the floor the waits double up to the 100 ms timeout, and a
+        # frame is resent whenever a wait ends inside the 400 ms budget
+        gaps, wait = [], RTO_MIN
+        while sum(gaps) + wait < 0.4:
+            gaps.append(wait)
+            wait = min(2 * wait, 0.1)
+        with pytest.raises(SessionError, match=rf"within 400 ms \({len(gaps)} resends\)"):
             ep.request(measurement(3), MsgType.COMMAND, 3)
-        gaps = np.diff(link.sends[3:])
-        assert gaps == pytest.approx([0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.1, 0.1])
+        assert np.diff(link.sends[3:]) == pytest.approx(gaps)
         assert link.now - start == pytest.approx(0.4)
 
     def test_next_exchange_keeps_the_backed_off_timeout(self):
-        link = FakeLink(rtt=5e-4, drop={3, 4, 5})
+        link = FakeLink(rtt=self.RTT, drop={3, 4, 5})
         ep = self.lossy_endpoint(link)
-        ep.request(measurement(3), MsgType.COMMAND, 3)  # waits 2, 4 and 8 ms
-        assert ep.timer.rto == pytest.approx(0.016)
+        ep.request(measurement(3), MsgType.COMMAND, 3)  # waits 1, 2 and 4 floors
+        assert ep.timer.rto == pytest.approx(8 * RTO_MIN)
         start = link.now
         link.drop = {7}
         ep.request(measurement(4), MsgType.COMMAND, 4)
-        assert link.sends[8] - start == pytest.approx(0.016)
+        assert link.sends[8] - start == pytest.approx(8 * RTO_MIN)
 
     def test_round_trip_above_the_floor_is_resent_early_only_once(self):
         # RFC 6298 5.5-5.7: the backed-off timeout holds until a reply to
         # a frame that was not resent gives a sample.  Starting each
-        # exchange again from the 2 ms estimate would resend every one.
-        link = FakeLink(rtt=5e-4)
+        # exchange again from the floor would resend every one.
+        link = FakeLink(rtt=self.RTT)
         ep = self.lossy_endpoint(link)
         assert ep.timer.rto == RTO_MIN
-        link.rtt = 3e-3
+        link.rtt = 1.5 * RTO_MIN
         for seq in range(3, 13):
             ep.request(measurement(seq), MsgType.COMMAND, seq)
         assert ep.stats.retries == 2  # the lost first frame, then seq 3 once
-        assert ep.timer.rto > 3e-3
+        assert ep.timer.rto > 1.5 * RTO_MIN
+
+    def test_datagram_gone_before_the_read_ends_the_wait_on_its_deadline(self):
+        link = VanishingLink(after=0.01)
+        ep = self.endpoint(link)
+        assert ep.recv(0.05) is None
+        assert link.now == pytest.approx(0.05)
+        assert link.timeouts == [0.05, pytest.approx(0.04)]
+        assert ep.stats.timeouts == 1 and ep.stats.decode_errors == 0
 
 
 class TestDelayedLoop:

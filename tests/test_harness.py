@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from rtahs.cases import default_config
 import rtahs.config
+from rtahs import harness
 from rtahs.cli import main
 from rtahs.config import ConfigFileError, config_from_dict, load_config
 from rtahs.harness import (
@@ -22,6 +23,7 @@ from rtahs.harness import (
     read_series,
     run_case,
     run_delay_study,
+    run_loop,
     run_oracle,
     series_to_csv,
     write_case_artifacts,
@@ -164,6 +166,19 @@ class TestDelayStudy:
         rows = run_delay_study(cfg, [0.0])
         for m in rows[0].metrics.values():
             assert m.rms_error == 0.0
+
+    def test_zero_tau_reuses_the_reference_run(self, monkeypatch):
+        calls = []
+
+        def counted(cfg, *args, **kwargs):
+            calls.append(cfg.surrogate.delay_tau)
+            return run_loop(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_loop", counted)
+        cfg = default_config("case1-linear", t_end=0.5)
+        rows = run_delay_study(cfg, [0.0, 0.05])
+        assert calls == [0.0, 0.05]
+        assert [r.tau for r in rows] == [0.0, 0.05]
 
     def test_rows_and_adaptation_flag(self):
         cfg = default_config("case2dof", t_end=1.0)
@@ -523,6 +538,15 @@ class TestCli:
         table = (tmp_path / "out" / "delay_study.csv").read_text()
         assert table.splitlines()[0] == "tau,adaptation,channel,rms_error,peak_error,normalized_rms,envelope"
         assert len(table.splitlines()) == 1 + 2 * 2  # two taus x two channels
+
+    @pytest.mark.parametrize("estimator", ["kf", "ekf"])
+    def test_delay_study_refuses_adaptation_off_without_aekf(self, tmp_path, capsys, estimator):
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(f"case: case1-linear\nestimator: {estimator}\nt_end: 0.1\n")
+        argv = ["delay-study", "--config", str(cfgfile), "--taus", "0", "--compare-adaptation-off"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert f"{estimator} does not adapt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_udp_mode_via_cli(self, tmp_path):
         rc = main(

@@ -18,7 +18,8 @@ def test_one_repeat_counts_three_sessions():
     )
     *deaths, last = proc.stdout.splitlines()
     m = re.fullmatch(
-        r"(\d+) deaths in 3 sessions \(case1-linear (\d+), case1-nonlinear (\d+), case2dof (\d+)\)",
+        r"(\d+) deaths in 3 sessions \(case1-linear (\d+), case1-nonlinear (\d+), case2dof (\d+)\), "
+        r"\d+ spurious resends",
         last,
     )
     assert m, last

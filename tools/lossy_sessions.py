@@ -10,8 +10,10 @@ a session that dies where another lived died of its timing.  For each
 death it prints the case, the repeat, the sequence number of the
 exchange that died, its resends and the first wait it started from (the
 retransmission timeout once the link has lost a frame, else the whole
-timeout), then the error.  The last line counts the deaths per case.
-Exits 0.
+timeout), then the error.  The last line counts the deaths per case and
+the spurious resends: over every MEASUREMENT exchange of the surrogate,
+the resends beyond the frames either endpoint lost while it lasted.  A
+timer that fires before a reply that is on its way makes them.  Exits 0.
 """
 
 from __future__ import annotations
@@ -34,20 +36,35 @@ def main(argv=None) -> int:
     from rtahs import cosim
     from rtahs.cases import default_config
     from rtahs.harness import run_loop
+    from rtahs.wire import MsgType
 
-    request = cosim.LockstepEndpoint.request
+    request, drop = cosim.LockstepEndpoint.request, cosim.LossInjector.drop
     dying: list[tuple[int, int, float]] = []
+    lost: list[None] = []  # one entry per frame either endpoint dropped (append is atomic)
+    spurious = 0
+
+    def counted(injector):
+        dropped = drop(injector)
+        if dropped:
+            lost.append(None)
+        return dropped
 
     def recorded(endpoint, outbound, want_type, want_seq):
-        retries = endpoint.stats.retries
+        nonlocal spurious
+        retries, lost_before = endpoint.stats.retries, len(lost)
         first_wait = endpoint.timer.rto if endpoint.lossy else endpoint.timeout
         try:
-            return request(endpoint, outbound, want_type, want_seq)
+            reply = request(endpoint, outbound, want_type, want_seq)
         except cosim.SessionError:
             dying.append((outbound.seq, endpoint.stats.retries - retries, first_wait))
             raise
+        if outbound.msg_type == MsgType.MEASUREMENT:
+            resends = endpoint.stats.retries - retries
+            spurious += max(0, resends - (len(lost) - lost_before))
+        return reply
 
     cosim.LockstepEndpoint.request = recorded
+    cosim.LossInjector.drop = counted
     deaths = dict.fromkeys(CASES, 0)
     for repeat in range(args.repeats):
         for case in CASES:
@@ -62,7 +79,8 @@ def main(argv=None) -> int:
                 print(f"{case} repeat {repeat}: seq {seq}, {resends} resends, "
                       f"first wait {wait * 1e3:.3f} ms: {exc}", flush=True)
     counts = ", ".join(f"{case} {n}" for case, n in deaths.items())
-    print(f"{sum(deaths.values())} deaths in {len(CASES) * args.repeats} sessions ({counts})")
+    print(f"{sum(deaths.values())} deaths in {len(CASES) * args.repeats} sessions ({counts}), "
+          f"{spurious} spurious resends")
     return 0
 
 
