@@ -35,7 +35,9 @@ class FilterNumericalError(RuntimeError):
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    S = M + M.T
+    S *= 0.5
+    return S
 
 
 def _eye(n: int) -> np.ndarray:
@@ -54,60 +56,80 @@ _EYE_CACHE: dict[int, np.ndarray] = {}
 def floor_spd(M: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     """Symmetrize and clamp eigenvalues of M from below.
 
-    1x1 and 2x2 matrices take closed forms.  Larger ones are decomposed
-    by numpy's ``eigh_lo`` gufunc, the LAPACK ``dsyevd`` kernel behind
-    ``np.linalg.eigh``, called directly to skip that wrapper's error-state
-    handling (same eigenpairs bit for bit).  The kernel reports a
-    decomposition that fails to converge as NaN eigenvalues, which raises
+    1x1 and 2x2 matrices take the closed forms of :func:`_floor_rows`.
+    Larger ones are decomposed by numpy's ``eigh_lo`` gufunc, the LAPACK
+    ``dsyevd`` kernel behind ``np.linalg.eigh``, called directly to skip
+    that wrapper's error-state handling (same eigenpairs bit for bit).
+    The kernel reports a decomposition that fails to converge, as one of
+    a non-finite matrix does, as NaN eigenvalues, which raises
     FilterNumericalError.
     """
-    M = symmetrize(np.asarray(M, dtype=float))
-    n = M.shape[0]
-    if n == 1:
-        return M if M[0, 0] >= floor else np.array([[floor]])
-    if n == 2:
-        a, b, _, c = M.ravel().tolist()
-        mean = 0.5 * (a + c)
-        disc = np.hypot(0.5 * (a - c), b)
-        lo = mean - disc
-        if lo >= floor:
-            return M
-        hi = max(mean + disc, floor)
-        lo = floor
-        if abs(b) < 1e-300:
-            return np.array([[max(a, floor), 0.0], [0.0, max(c, floor)]])
-        # Eigenvector for the smaller eigenvalue of [[a, b], [b, c]].
-        v = np.array([b, (mean - disc) - a])
-        v /= np.hypot(v[0], v[1])
-        w = np.array([-v[1], v[0]])
-        return symmetrize(lo * (v[:, None] * v) + hi * (w[:, None] * w))
+    if len(M) <= 2:
+        return _floor_rows(M.tolist(), floor)
+    M = symmetrize(M)
     w, V = eigh_lo(M, signature="d->dd")
     if math.isnan(w[0]):
         raise FilterNumericalError("eigendecomposition did not converge")
     if w[0] >= floor:
         return M
-    w = np.maximum(w, floor)
-    return symmetrize((V * w) @ V.T)
+    np.maximum(w, floor, out=w)
+    return symmetrize((V * w).dot(V.T))
 
 
-def _inv_small(S: np.ndarray) -> np.ndarray:
-    """Inverse of a small innovation covariance, raising on singularity."""
-    n = S.shape[0]
-    if n == 1:
-        s = S[0, 0]
-        if s == 0.0 or not np.isfinite(s):
-            raise FilterNumericalError("singular innovation covariance")
-        return np.array([[1.0 / s]])
-    if n == 2:
-        s00, s01, s10, s11 = S.ravel().tolist()
+def _floor_rows(rows: list[list[float]], floor: float) -> np.ndarray:
+    """:func:`floor_spd` of a matrix given as nested lists of floats.
+
+    A 1x1 or 2x2 matrix is floored in Python floats, by the arithmetic of
+    the array version in its order, with one array built at the end:
+    the same bits.  ``np.hypot`` stays because ``math.hypot`` rounds
+    differently.  A NaN or infinite entry raises FilterNumericalError.
+    """
+    if len(rows) > 2:
+        return floor_spd(np.array(rows), floor)
+    if len(rows) == 1:
+        ((a,),) = rows
+        if not math.isfinite(a):
+            raise FilterNumericalError("non-finite covariance")
+        return np.array([[max(a, floor)]])
+    (a, b01), (b10, c) = rows
+    b = 0.5 * (b01 + b10)
+    mean = 0.5 * (a + c)
+    disc = float(np.hypot(0.5 * (a - c), b))
+    lo = mean - disc
+    if lo >= floor:
+        return np.array([[a, b], [b, c]])
+    if not math.isfinite(lo):  # a NaN or infinite entry makes lo NaN or -inf
+        raise FilterNumericalError("non-finite covariance")
+    hi = max(mean + disc, floor)
+    if abs(b) < 1e-300:
+        return np.array([[max(a, floor), 0.0], [0.0, max(c, floor)]])
+    # floor v v' + hi w w' for the unit eigenvector v of the smaller
+    # eigenvalue and w = (-v1, v0): symmetric term by term
+    norm = float(np.hypot(b, lo - a))
+    v0, v1 = b / norm, (lo - a) / norm
+    vv, vw, ww = v0 * v0, v0 * v1, v1 * v1
+    off = floor * vw - hi * vw
+    return np.array([[floor * vv + hi * ww, off], [off, floor * ww + hi * vv]])
+
+
+def _inv_small(S: list[list[float]]) -> np.ndarray:
+    """Inverse of an innovation covariance given as nested lists of
+    floats, in closed form up to 2x2; raises on singularity."""
+    if len(S) > 2:
+        try:
+            return np.linalg.inv(S)
+        except np.linalg.LinAlgError as exc:
+            raise FilterNumericalError(f"singular innovation covariance: {exc}") from exc
+    if len(S) == 1:
+        ((det,),) = S
+    else:
+        (s00, s01), (s10, s11) = S
         det = s00 * s11 - s01 * s10
-        if det == 0.0 or not math.isfinite(det):
-            raise FilterNumericalError("singular innovation covariance")
-        return np.array([[s11, -s01], [-s10, s00]]) / det
-    try:
-        return np.linalg.inv(S)
-    except np.linalg.LinAlgError as exc:
-        raise FilterNumericalError(f"singular innovation covariance: {exc}") from exc
+    if det == 0.0 or not math.isfinite(det):
+        raise FilterNumericalError("singular innovation covariance")
+    if len(S) == 1:
+        return np.array([[1.0 / det]])
+    return np.array([[s11 / det, -s01 / det], [-s10 / det, s00 / det]])
 
 
 @dataclass(frozen=True)
@@ -163,7 +185,7 @@ def linear_transition_model(ssm) -> TransitionModel:
     Phi, Gamma = ssm.Phi, ssm.Gamma
 
     def propagate(x, u):
-        return Phi @ x + Gamma @ u
+        return Phi.dot(x) + Gamma.dot(u)
 
     return TransitionModel(propagate=propagate, jac_transition=lambda x, u: Phi, H=ssm.H)
 
@@ -191,10 +213,10 @@ def predict(
     except IntegrationError as exc:
         raise FilterNumericalError("non-finite prediction", step=fs.k + 1) from exc
     A_k = np.asarray(m.jac_transition(fs.x, u), dtype=float)
-    APA = A_k @ fs.P @ A_k.T
+    APA = A_k.dot(fs.P).dot(A_k.T)
     P_prior = symmetrize(APA + fs.noise.Q)
     # any inf/nan entry poisons the sums, so two reductions cover the check
-    if not math.isfinite(x_prior.sum() + P_prior.sum()):
+    if not math.isfinite(np.add.reduce(x_prior) + np.add.reduce(P_prior, None)):
         raise FilterNumericalError("non-finite prediction", step=fs.k + 1)
     return x_prior, P_prior, APA
 
@@ -205,21 +227,24 @@ def _update_core(
     z: np.ndarray,
     m: TransitionModel,
     noise: NoiseStats,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Measurement update; returns (x_post, P_post, K, innovation, HPH)
-    with HPH = H P_prior H' the predicted measurement covariance."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
+    """Measurement update; returns (x_post, P_post, Ke, innovation, HPH)
+    with Ke = K @ innovation and HPH = H P_prior H', the predicted
+    measurement covariance, as nested lists of floats.  S = HPH + R is
+    inverted in floats; ``ndarray.dot`` calls the BLAS kernels of ``@``
+    (same bits) for about half its dispatch cost."""
     if not (isinstance(z, np.ndarray) and z.ndim == 1):
         z = np.atleast_1d(np.asarray(z, dtype=float))
     H = m.H
-    HPH = H @ P_prior @ H.T
-    S = HPH + noise.R
-    K = P_prior @ H.T @ _inv_small(S)
-    innovation = z - H @ x_prior - noise.r
-    x_post = x_prior + K @ innovation
-    P_post = floor_spd((_eye(len(x_prior)) - K @ H) @ P_prior)
-    if not math.isfinite(x_post.sum()):
+    HPH = H.dot(P_prior).dot(H.T)
+    K = P_prior.dot(H.T).dot(_inv_small((HPH + noise.R).tolist()))
+    innovation = z - H.dot(x_prior) - noise.r
+    Ke = K.dot(innovation)
+    x_post = x_prior + Ke
+    P_post = floor_spd((_eye(len(x_prior)) - K.dot(H)).dot(P_prior))
+    if not math.isfinite(np.add.reduce(x_post)):
         raise FilterNumericalError("non-finite posterior state")
-    return x_post, P_post, K, innovation, HPH
+    return x_post, P_post, Ke, innovation, HPH.tolist()
 
 
 def update(fs: FilterState, z: np.ndarray, m: TransitionModel) -> FilterState:
@@ -233,12 +258,12 @@ def update(fs: FilterState, z: np.ndarray, m: TransitionModel) -> FilterState:
 def covariance_match(
     prev: FilterState,
     APA: np.ndarray,
-    HPH: np.ndarray,
+    HPH: list[list[float]],
     x_prior: np.ndarray,
     new_x: np.ndarray,
     new_P: np.ndarray,
     innovation: np.ndarray,
-    K: np.ndarray,
+    Ke: np.ndarray,
     forgetting_factor: float,
 ) -> NoiseStats:
     """Innovation-based recursive re-estimation of the noise statistics.
@@ -247,30 +272,34 @@ def covariance_match(
     with single-step estimates: the process mean from the posterior
     less the step's own propagation, x_post - (x_prior - q_prev), the
     process covariance from the gain-weighted innovation outer product
-    plus the covariance decrease, the measurement mean from the raw
-    pre-fit residual, and the measurement covariance from the innovation
-    outer product minus the predicted part.  APA and HPH are the
-    products A P A' and H P_prior H' already formed by :func:`predict`
-    and :func:`_update_core`.  Both covariance estimates are symmetrized
-    and eigenvalue-floored.
+    Ke Ke' plus the covariance decrease, the measurement mean from the
+    raw pre-fit residual, and the measurement covariance from the
+    innovation outer product minus the predicted part.  APA, HPH and
+    Ke = K @ innovation are the products already formed by
+    :func:`predict` and :func:`_update_core`.  Both covariance estimates
+    are symmetrized and eigenvalue-floored; the vector recursions and
+    the measurement covariance run in Python floats.
     """
     k = prev.k + 1
     d = forgetting_weight(forgetting_factor, k)
+    c = 1.0 - d
     n = prev.noise
 
-    dx = new_x - (x_prior - n.q)
-    q_new = (1.0 - d) * n.q + d * dx
+    xs = zip(new_x.tolist(), x_prior.tolist(), n.q.tolist())
+    q_new = np.array([c * q + d * (x - (xp - q)) for x, xp, q in xs])
 
-    Ke = K @ innovation
-    Q_new = floor_spd((1.0 - d) * n.Q + d * (Ke[:, None] * Ke + new_P - APA))
+    Q_new = floor_spd(c * n.Q + d * (Ke[:, None] * Ke + new_P - APA))
 
-    # Raw pre-fit residual z - h(x_prior), i.e. the innovation before the
-    # measurement-mean correction.
-    raw = innovation + n.r
-    r_new = (1.0 - d) * n.r + d * raw
+    # e + r is the raw pre-fit residual z - h(x_prior), i.e. the
+    # innovation e before the measurement-mean correction.
+    e = innovation.tolist()
+    r_new = np.array([c * r + d * (ei + r) for ei, r in zip(e, n.r.tolist())])
 
-    R_new = floor_spd((1.0 - d) * n.R + d * (innovation[:, None] * innovation - HPH))
-    return NoiseStats(q=q_new, Q=Q_new, r=r_new, R=R_new)
+    R_rows = [
+        [c * Rij + d * (ei * ej - HPHij) for ej, Rij, HPHij in zip(e, Ri, HPHi)]
+        for ei, Ri, HPHi in zip(e, n.R.tolist(), HPH)
+    ]
+    return NoiseStats(q=q_new, Q=Q_new, r=r_new, R=_floor_rows(R_rows, PSD_FLOOR))
 
 
 def _sdof_scalar_step(
@@ -323,10 +352,8 @@ def _sdof_scalar_step(
     # eigenvalue floor, closed form for the symmetric 2x2
     mean = 0.5 * (q11 + q22)
     disc = math.hypot(0.5 * (q11 - q22), q12)
-    if mean - disc < PSD_FLOOR:
-        P_post = floor_spd(np.array([[q11, q12], [q12, q22]]))
-    else:
-        P_post = np.array([[q11, q12], [q12, q22]])
+    rows = [[q11, q12], [q12, q22]]
+    P_post = np.array(rows) if mean - disc >= PSD_FLOOR else _floor_rows(rows, PSD_FLOOR)
     return FilterState(
         x=np.array([x1, x2]), P=P_post, noise=fs.noise, k=fs.k + 1
     )
@@ -360,9 +387,9 @@ def aekf_step(
     matching of the noise statistics."""
     x_prior, P_prior, APA = predict(fs, u, m)
     try:
-        x_post, P_post, K, innovation, HPH = _update_core(x_prior, P_prior, z, m, fs.noise)
+        x_post, P_post, Ke, innovation, HPH = _update_core(x_prior, P_prior, z, m, fs.noise)
         noise = covariance_match(
-            fs, APA, HPH, x_prior, x_post, P_post, innovation, K, forgetting_factor
+            fs, APA, HPH, x_prior, x_post, P_post, innovation, Ke, forgetting_factor
         )
     except FilterNumericalError as exc:
         raise FilterNumericalError(str(exc), step=fs.k + 1) from exc

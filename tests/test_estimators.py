@@ -347,7 +347,9 @@ def textbook_aekf_step(fs, u, z, m, forgetting_factor, clamps):
     """One adaptive EKF step as the plain composition of its formulas:
     A P A' and H P H' formed where each equation needs them, outer
     products by np.outer, floors by :func:`reference_floor`.  ``clamps``
-    counts the steps at which each floor changed its input."""
+    counts the steps at which each floor changed its input.  With
+    ``forgetting_factor=None`` it is the EKF step: no covariance
+    matching, the noise statistics stay."""
     n = fs.noise
     A = m.jac_transition(fs.x, u)
     x_prior = m.propagate(fs.x, u) + n.q
@@ -355,8 +357,12 @@ def textbook_aekf_step(fs, u, z, m, forgetting_factor, clamps):
     P_prior = 0.5 * (P_prior + P_prior.T)
     H = m.H
     S = H @ P_prior @ H.T + n.R
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    K = P_prior @ H.T @ (np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det)
+    if len(S) == 1:
+        S_inv = np.array([[1.0 / S[0, 0]]])
+    else:
+        det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+        S_inv = np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det
+    K = P_prior @ H.T @ S_inv
     innovation = z - H @ x_prior - n.r
     x_post = x_prior + K @ innovation
 
@@ -366,6 +372,8 @@ def textbook_aekf_step(fs, u, z, m, forgetting_factor, clamps):
         return out
 
     P_post = floored("P", (np.eye(len(x_prior)) - K @ H) @ P_prior)
+    if forgetting_factor is None:
+        return FilterState(x=x_post, P=P_post, noise=n, k=fs.k + 1)
     b = forgetting_factor
     d = (1.0 - b) / (1.0 - b ** (fs.k + 1))
     dx = x_post - (x_prior - n.q)
@@ -414,6 +422,54 @@ class TestAekfBitIdentity:
                 assert np.array_equal(a, b), f"step {out.k}: {name} differs"
         # both branches of every floor ran
         assert all(0 < c < len(steps) for c in clamps.values()), clamps
+
+    @pytest.mark.parametrize(
+        "case, estimator, clamped",
+        [
+            # the generic ekf_step with 2 observations; P never reaches its floor
+            ("case2dof", "kf", {"P": 0, "Q": 0, "R": 0}),
+            # 1 observation: a 1x1 S and R, and 2x2 P and Q floors
+            ("case1-linear", "aekf", None),
+        ],
+    )
+    def test_generic_loop_equals_textbook_composition(self, monkeypatch, case, estimator, clamped):
+        # Record every step of a 2-s in-process run of the shipped config
+        # with the given estimator, then fold the textbook step over the
+        # recorded inputs: each step's x, P, q, Q, r and R must match bit
+        # for bit.
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{case}.yaml"
+        cfg = replace(load_config(path), mode="in-process", t_end=2.0, estimator=estimator)
+        steps = []
+        name = "aekf_step" if estimator == "aekf" else "ekf_step"
+        step = getattr(cosim, name)
+
+        def recording_step(fs, u, z, m, **kwargs):
+            out = step(fs, u, z, m, **kwargs)
+            steps.append((fs, u, z, m, kwargs.get("forgetting_factor"), out))
+            return out
+
+        monkeypatch.setattr(cosim, name, recording_step)
+        run_loop(cfg)
+        assert len(steps) == cfg.n_samples - 1
+        clamps = {"P": 0, "Q": 0, "R": 0}
+        ref = steps[0][0]
+        for fs, u, z, m, forgetting_factor, out in steps:
+            ref = textbook_aekf_step(ref, u, z, m, forgetting_factor, clamps)
+            assert ref.k == out.k
+            for name, a, b in (
+                ("x", ref.x, out.x),
+                ("P", ref.P, out.P),
+                ("q", ref.noise.q, out.noise.q),
+                ("Q", ref.noise.Q, out.noise.Q),
+                ("r", ref.noise.r, out.noise.r),
+                ("R", ref.noise.R, out.noise.R),
+            ):
+                assert np.array_equal(a, b), f"step {out.k}: {name} differs"
+        if clamped is None:
+            # both branches of every floor ran
+            assert all(0 < c < len(steps) for c in clamps.values()), clamps
+        else:
+            assert clamps == clamped
 
     # A 4-state step decomposes P in the update (call 1) and the adapted
     # Q in the covariance matching (call 2).
@@ -474,14 +530,28 @@ class TestCovarianceFloor:
     # matrix lifted above the floor, passed through
     @example(n=4, gram=False, scale=1e-2, floor=PSD_FLOOR, entries=[1.0, -1.0] * 18)
     @example(n=4, gram=True, scale=1e-2, floor=PSD_FLOOR, entries=[0.5] * 36)
+    # the same two in 2x2: the pass-through, and a diagonal indefinite
+    # matrix (off-diagonal below 1e-300) clamped entry by entry
+    @example(n=2, gram=True, scale=1e-2, floor=PSD_FLOOR, entries=[0.5] * 36)
+    @example(n=2, gram=False, scale=1e-2, floor=PSD_FLOOR, entries=[-1.0, 0.5, -0.5, 1.0] * 9)
     def test_floor_spd_properties(self, n, gram, scale, floor, entries):
         B = scale * np.array(entries[: n * n]).reshape(n, n)
         M = B @ B.T + 2.0 * floor * np.eye(n) if gram else 0.5 * (B + B.T)
         out = floor_spd(M, floor)
         assert np.array_equal(out, out.T)
         assert np.linalg.eigvalsh(out)[0] >= floor - 1e-15
-        if n >= 3:
-            assert np.array_equal(out, reference_floor(M, floor))
+        assert np.array_equal(out, reference_floor(M, floor))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_floor_spd_raises_on_non_finite_entry(self, n, bad):
+        # on the diagonal and off it (in 1x1 both are the one entry)
+        for i, j in ((0, 0), (n - 1, 0)):
+            M = np.eye(n)
+            M[i, j] = bad
+            with np.errstate(invalid="ignore", divide="ignore"):
+                with pytest.raises(FilterNumericalError):
+                    floor_spd(M)
 
 
 class TestNumericJacobian:
