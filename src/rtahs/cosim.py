@@ -16,6 +16,7 @@ recoverable loss.
 
 from __future__ import annotations
 
+import os
 import random
 import select
 import socket
@@ -53,8 +54,10 @@ from .wire import (
 # a lost datagram is resent inside the step budget.  On the 1%-loss
 # case1-linear UDP loop (10 ms timeout, 30-s runs pinned to one CPU of a
 # 2-vCPU VM, ten alternating pairs) the step p99 read 2,404 us with a
-# 2 ms floor and 772 us with this one, and the step p50 116 and 136 us:
-# there a timer shorter than the 4 ms kernel tick costs about 10 us.
+# 2 ms floor and 772 us with this one.  A timer due before the 4 ms
+# kernel tick costs a wait about 10 us there (tools/wait_cost.py), so a
+# lossy endpoint yields to its peer before it arms one
+# (``LockstepEndpoint.ready``).
 RTO_MIN = 0.0005
 RTT_ALPHA = 1 / 8  # gain of the smoothed round trip (RFC 6298)
 RTT_BETA = 1 / 4  # gain of its mean deviation
@@ -193,8 +196,20 @@ class LockstepEndpoint:
 
         ``select`` waits to the microsecond, where a socket timeout waits
         whole milliseconds.  It refuses file descriptors of 1024 and
-        above."""
-        return bool(select.select((self.sock,), (), (), timeout)[0])
+        above.  A lossy endpoint, which waits a retransmission timeout
+        shorter than the kernel tick, first yields the CPU once and looks
+        at the socket without waiting: a peer on the same CPU answers
+        during the yield, and no timer is armed.  Only if nothing has come
+        does it arm the timed ``select``, for what is left of ``timeout``.
+        ``os.sched_yield`` exists on Unix only."""
+        socks = (self.sock,)
+        if self.lossy:
+            deadline = self.clock() + timeout
+            os.sched_yield()
+            if select.select(socks, (), (), 0.0)[0]:
+                return True
+            timeout = max(deadline - self.clock(), 0.0)
+        return bool(select.select(socks, (), (), timeout)[0])
 
     def recv(self, timeout: float) -> Optional[Frame]:
         """One receive attempt within ``timeout`` seconds; returns None
@@ -225,10 +240,9 @@ class LockstepEndpoint:
         doubles the wait up to ``timeout`` and keeps it as the
         retransmission timeout.  The first wait is the retransmission
         timeout once a wait of this endpoint has expired, and the whole
-        ``timeout`` on a link that has not lost a frame: a 2 ms socket
-        timeout armed on every exchange slowed the clean UDP step by about
-        9% on a 2-vCPU VM, and such a link has nothing to recover.  The
-        request fails only when no reply has come within
+        ``timeout`` on a link that has not lost a frame, which has
+        nothing to recover and so never yields or arms a sub-tick timer
+        (:meth:`ready`).  The request fails only when no reply has come within
         ``(max_retries + 1) * timeout`` of the first send.  A reply to a
         frame that was never resent is a round-trip sample (Karn's rule),
         and only a sample undoes the backoff."""

@@ -2,6 +2,8 @@
 sessions, and UDP/in-process equivalence."""
 
 import math
+import os
+import select
 import socket
 import threading
 import time
@@ -810,6 +812,80 @@ class TestRetransmitTimer:
         assert link.now == pytest.approx(0.05)
         assert link.timeouts == [0.05, pytest.approx(0.04)]
         assert ep.stats.timeouts == 1 and ep.stats.decode_errors == 0
+
+
+class TestYieldBeforeTheWait:
+    """The wait of a lossy endpoint on real loopback sockets: yield, look
+    without waiting, and only then arm the timed ``select``."""
+
+    @pytest.fixture
+    def pair(self):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            for s in (sock, peer):
+                s.bind(("127.0.0.1", 0))
+            ep = LockstepEndpoint(sock, peer.getsockname(), timeout=0.05, max_retries=0)
+            ep.pinned = ep.lossy = True
+            yield ep, peer
+        finally:
+            sock.close()
+            peer.close()
+
+    @staticmethod
+    def recorded_waits(monkeypatch) -> list[float]:
+        waits, real = [], select.select
+
+        def recorded(rlist, wlist, xlist, timeout):
+            waits.append(timeout)
+            return real(rlist, wlist, xlist, timeout)
+
+        monkeypatch.setattr(cosim.select, "select", recorded)
+        return waits
+
+    def test_queued_datagram_is_read_without_a_timed_wait(self, pair, monkeypatch):
+        ep, peer = pair
+        peer.sendto(encode_frame(measurement(7)), ep.sock.getsockname())
+        assert select.select((ep.sock,), (), (), 1.0)[0]  # queued before the wait
+        waits = self.recorded_waits(monkeypatch)
+        assert ep.recv(0.05).seq == 7
+        assert waits == [0.0]
+
+    @pytest.mark.parametrize("yield_s", [None, 0.01], ids=["yield", "slow-yield"])
+    def test_silent_wait_ends_on_its_deadline_counting_the_yield(
+        self, pair, monkeypatch, yield_s
+    ):
+        ep, _ = pair
+        if yield_s is not None:  # the CPU went to another thread for 10 ms
+            monkeypatch.setattr(cosim.os, "sched_yield", lambda: time.sleep(yield_s))
+        waits = self.recorded_waits(monkeypatch)
+        start = time.monotonic()
+        assert not ep.ready(0.03)
+        elapsed = time.monotonic() - start
+        assert waits[0] == 0.0 and len(waits) == 2
+        assert 0.0 < waits[1] <= 0.03 - (yield_s or 0.0)
+        assert 0.03 <= elapsed < 0.03 + 0.05
+
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.1], ids=["clean", "lossy"])
+    def test_only_the_lossy_surrogate_yields(self, monkeypatch, loss_rate):
+        # The server's ``answer`` and a link that has lost nothing wait as
+        # before: one timed ``select``, no yield.
+        yielders: list[str] = []
+        real = os.sched_yield
+
+        def counted():
+            yielders.append(threading.current_thread().name)
+            real()
+
+        monkeypatch.setattr(cosim.os, "sched_yield", counted)
+        cfg, est, sur = zero_session(n_samples=200)
+        losses = [LossInjector(loss_rate, seed=s) for s in (3, 4)]
+        _, sstats, pstats = run_udp_pair(cfg, est, sur, *losses)
+        if loss_rate:
+            assert pstats.retries > 0 and len(yielders) > 0
+            assert set(yielders) == {"surrogate"}
+        else:
+            assert sstats.retries == pstats.retries == 0 and yielders == []
 
 
 class TestDelayedLoop:
