@@ -242,10 +242,10 @@ class LockstepEndpoint:
         timeout once a wait of this endpoint has expired, and the whole
         ``timeout`` on a link that has not lost a frame, which has
         nothing to recover and so never yields or arms a sub-tick timer
-        (:meth:`ready`).  The request fails only when no reply has come within
-        ``(max_retries + 1) * timeout`` of the first send.  A reply to a
-        frame that was never resent is a round-trip sample (Karn's rule),
-        and only a sample undoes the backoff."""
+        (:meth:`ready`).  The request fails only when no reply has come
+        within ``(max_retries + 1) * timeout`` of the first send.  A reply
+        to a frame that was never resent is a round-trip sample (Karn's
+        rule), and only a sample undoes the backoff."""
         clock = self.clock
         self.send(outbound)
         start = clock()
