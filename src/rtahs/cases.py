@@ -61,6 +61,8 @@ from .integrators import (
 )
 
 CASE_IDS = ("case1-linear", "case1-nonlinear", "case2dof")
+ESTIMATORS = ("kf", "ekf", "aekf")
+MODES = ("in-process", "udp")
 
 # Divergence guard: runs are truncated once |x| exceeds this many section
 # heights (intentionally divergent runs are data, not errors).
@@ -161,10 +163,17 @@ class CaseConfig:
     def __post_init__(self):
         if self.case not in CASE_IDS:
             raise ValueError(f"unknown case {self.case!r}")
-        if self.estimator not in ("kf", "ekf", "aekf"):
+        if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.mode not in ("in-process", "udp"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        want = ("heave", "torsion") if self.case == "case2dof" else ("heave",)
+        got = tuple(d.label for d in self.dofs)
+        if got != want:
+            raise ValueError(
+                f"case {self.case} takes exactly the DOFs {', '.join(want)}, "
+                f"got {', '.join(got) or 'none'}"
+            )
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.t_end > self.dt:

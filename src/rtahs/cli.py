@@ -6,7 +6,9 @@ Subcommands: ``run`` (full case: loop + oracle + metrics + artifacts),
 
 Exit codes: 0 success, 2 configuration or input error (including a file
 that cannot be read and an address that cannot be bound), 3 session
-error, 4 success with divergence-truncated series (informational).
+error or numerical failure of the filter or an integrator (``run``
+writes the partial trajectory to ``rtahs.partial.csv``), 4 success with
+divergence-truncated series (informational).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _load_case(args) -> "CaseConfig":
 
 def _cmd_run(args) -> int:
     from .cosim import SessionError
-    from .harness import run_case, write_case_artifacts, write_series
+    from .harness import metric_items, run_case, write_case_artifacts, write_series
 
     cfg = _load_case(args)
     out = Path(args.out)
@@ -66,11 +68,7 @@ def _cmd_run(args) -> int:
         raise
     paths = write_case_artifacts(result, out)
     for channel, m in sorted(result.metrics.items()):
-        nrms = "undefined" if m.normalized_rms is None else f"{m.normalized_rms:.6g}"
-        print(
-            f"{channel}: rms_error={m.rms_error:.6g} peak_error={m.peak_error:.6g} "
-            f"normalized_rms={nrms} envelope={m.envelope}"
-        )
+        print(f"{channel}: " + " ".join(f"{k}={v}" for k, v in metric_items(m, "{:.6g}")))
     print(f"artifacts written to {out}")
     if result.truncated:
         print("note: at least one series was divergence-truncated")
@@ -109,22 +107,18 @@ def _cmd_physical(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .harness import read_series
+    from .harness import metric_items, read_series
     from .metrics import compare_series
 
     a = read_series(Path(args.a))
     b = read_series(Path(args.b))
-    m = compare_series(a, b, args.channel)
-    nrms = "undefined" if m.normalized_rms is None else f"{m.normalized_rms:.6g}"
-    print(f"rms_error = {m.rms_error:.6g}")
-    print(f"peak_error = {m.peak_error:.6g}")
-    print(f"normalized_rms = {nrms}")
-    print(f"envelope = {m.envelope}")
+    for k, v in metric_items(compare_series(a, b, args.channel), "{:.6g}"):
+        print(f"{k} = {v}")
     return EXIT_OK
 
 
 def _cmd_delay_study(args) -> int:
-    from .harness import FLOAT_FMT, run_delay_study
+    from .harness import FLOAT_FMT, METRIC_FIELDS, metric_items, run_delay_study
 
     cfg = _load_case(args)
     if args.compare_adaptation_off and cfg.estimator != "aekf":
@@ -133,23 +127,11 @@ def _cmd_delay_study(args) -> int:
         )
     taus = [float(v) for v in args.taus.split(",") if v != ""]
     rows = run_delay_study(cfg, taus, compare_adaptation_off=args.compare_adaptation_off)
-    lines = ["tau,adaptation,channel,rms_error,peak_error,normalized_rms,envelope"]
+    lines = [",".join(("tau", "adaptation", "channel", *METRIC_FIELDS))]
     for row in rows:
         for channel, m in sorted(row.metrics.items()):
-            nrms = "undefined" if m.normalized_rms is None else FLOAT_FMT.format(m.normalized_rms)
-            lines.append(
-                ",".join(
-                    [
-                        FLOAT_FMT.format(row.tau),
-                        str(row.adaptation).lower(),
-                        channel,
-                        FLOAT_FMT.format(m.rms_error),
-                        FLOAT_FMT.format(m.peak_error),
-                        nrms,
-                        m.envelope,
-                    ]
-                )
-            )
+            head = [FLOAT_FMT.format(row.tau), str(row.adaptation).lower(), channel]
+            lines.append(",".join(head + [v for _, v in metric_items(m)]))
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.out:
@@ -161,6 +143,8 @@ def _cmd_delay_study(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .cases import CASE_IDS, ESTIMATORS, MODES
+
     parser = argparse.ArgumentParser(
         prog="rtahs",
         description="Real-time aeroelastic hybrid simulation harness",
@@ -169,15 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run a validation case (loop + oracle + metrics)")
     source = runp.add_mutually_exclusive_group(required=True)
-    source.add_argument("--case", choices=("case1-linear", "case1-nonlinear", "case2dof"))
+    source.add_argument("--case", choices=CASE_IDS)
     source.add_argument("--config", help="YAML configuration file")
     runp.add_argument("--out", required=True, help="output directory for artifacts")
     runp.add_argument("--dt", type=float)
     runp.add_argument("--t-end", dest="t_end", type=float)
     runp.add_argument("--delay", type=float, help="force-channel delay in seconds")
     runp.add_argument("--seed", type=int)
-    runp.add_argument("--mode", choices=("in-process", "udp"))
-    runp.add_argument("--estimator", choices=("kf", "ekf", "aekf"))
+    runp.add_argument("--mode", choices=MODES)
+    runp.add_argument("--estimator", choices=ESTIMATORS)
     runp.set_defaults(func=_cmd_run)
 
     servep = sub.add_parser("serve", help="run the numerical-substructure UDP server")

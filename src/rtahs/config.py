@@ -21,8 +21,8 @@ the surrogate's noise scales and delay non-negative.  The full schema
     mode: in-process          # in-process | udp
     span: 1.8                 # model span aggregating force per unit length
     structure:
-      modal:                  # one entry per active DOF
-        - dof: heave          # heave | transverse | torsion
+      modal:                  # one entry per DOF: heave for case1-*,
+        - dof: heave          # heave and torsion for case2dof
           inertia: 182.178
           damping_ratio: 0.005
           circ_freq: 17.64

@@ -5,7 +5,6 @@ write the CSV/summary artifacts."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -23,17 +22,21 @@ from .cases import (
 from .cosim import (
     EstimatorSession,
     LossInjector,
+    SessionError,
     SessionStats,
     SurrogateSession,
     run_in_process,
     run_udp_pair,
 )
-from .integrators import TimeSeries, simulate
+from .estimators import FilterNumericalError
+from .integrators import IntegrationError, TimeSeries, simulate
 from .metrics import ComparisonMetrics, compare_series
 
 # Floats are written with 17 significant digits so CSV artifacts are
 # byte-reproducible and round-trip exactly.
 FLOAT_FMT = "{:.17g}"
+# Field order of every rendering of a ComparisonMetrics.
+METRIC_FIELDS = tuple(f.name for f in fields(ComparisonMetrics))
 
 
 @dataclass
@@ -42,7 +45,6 @@ class CaseResult:
     rtahs: TimeSeries
     oracle: TimeSeries
     metrics: dict[str, ComparisonMetrics]
-    elapsed: float
     server_stats: Optional[SessionStats] = None
     surrogate_stats: Optional[SessionStats] = None
 
@@ -81,17 +83,27 @@ def build_surrogate_session(cfg: CaseConfig) -> SurrogateSession:
 
 def run_loop(cfg: CaseConfig, trace_covariance: bool = False):
     """Run only the hybrid loop of a case; returns (series, server
-    stats, surrogate stats, min covariance eigenvalue seen)."""
+    stats, surrogate stats, min covariance eigenvalue seen).  A filter or
+    integrator failure is raised as a SessionError chained to it, with
+    the estimator's series up to its last good step."""
     est = build_estimator_session(cfg, trace_covariance=trace_covariance)
     sur = build_surrogate_session(cfg)
-    if cfg.mode == "udp":
-        loss_rate = cfg.cosim.loss_rate
-        server_loss = LossInjector(loss_rate, seed=cfg.seed + 1) if loss_rate else None
-        sur_loss = LossInjector(loss_rate, seed=cfg.seed + 2) if loss_rate else None
-        series, sstats, pstats = run_udp_pair(cfg, est, sur, server_loss, sur_loss)
-    else:
-        series = run_in_process(est, sur, cfg.n_samples)
-        sstats = pstats = None
+    try:
+        if cfg.mode == "udp":
+            loss_rate = cfg.cosim.loss_rate
+            server_loss = LossInjector(loss_rate, seed=cfg.seed + 1) if loss_rate else None
+            sur_loss = LossInjector(loss_rate, seed=cfg.seed + 2) if loss_rate else None
+            series, sstats, pstats = run_udp_pair(cfg, est, sur, server_loss, sur_loss)
+        else:
+            series = run_in_process(est, sur, cfg.n_samples)
+            sstats = pstats = None
+    except (FilterNumericalError, IntegrationError) as exc:
+        partial = est.series()
+        raise SessionError(
+            f"numerical failure: {exc}",
+            last_good_step=len(partial) - 1 if len(partial) else None,
+            partial_series=partial,
+        ) from exc
     min_eig = min(est.cov_min_eig) if est.cov_min_eig else None
     return series, sstats, pstats, min_eig
 
@@ -107,7 +119,6 @@ def run_oracle(cfg: CaseConfig) -> TimeSeries:
 def run_case(cfg: CaseConfig) -> CaseResult:
     """Run the hybrid loop and the oracle, compare per displacement
     channel (oracle as reference), and bundle the artifacts."""
-    start = time.perf_counter()
     rtahs, sstats, pstats, _ = run_loop(cfg)
     oracle = run_oracle(cfg)
     metrics = {}
@@ -119,7 +130,6 @@ def run_case(cfg: CaseConfig) -> CaseResult:
         rtahs=rtahs,
         oracle=oracle,
         metrics=metrics,
-        elapsed=time.perf_counter() - start,
         server_stats=sstats,
         surrogate_stats=pstats,
     )
@@ -243,20 +253,15 @@ def config_summary_items(cfg: CaseConfig) -> list[tuple[str, str]]:
     return items
 
 
-def metrics_summary_items(metrics: dict[str, ComparisonMetrics]) -> list[tuple[str, str]]:
-    items = []
-    for channel in sorted(metrics):
-        m = metrics[channel]
-        items += [
-            (f"metrics.{channel}.rms_error", FLOAT_FMT.format(m.rms_error)),
-            (f"metrics.{channel}.peak_error", FLOAT_FMT.format(m.peak_error)),
-            (
-                f"metrics.{channel}.normalized_rms",
-                "undefined" if m.normalized_rms is None else FLOAT_FMT.format(m.normalized_rms),
-            ),
-            (f"metrics.{channel}.envelope", m.envelope),
-        ]
-    return items
+def metric_items(m: ComparisonMetrics, fmt: str = FLOAT_FMT) -> list[tuple[str, str]]:
+    """The one rendering of a comparison: (field, text) in METRIC_FIELDS
+    order, numbers through ``fmt``, the envelope as it is, and the
+    normalized RMS of an all-zero reference (None) as ``undefined``."""
+
+    def text(v) -> str:
+        return v if isinstance(v, str) else "undefined" if v is None else fmt.format(v)
+
+    return [(name, text(getattr(m, name))) for name in METRIC_FIELDS]
 
 
 def write_summary(result: CaseResult, path: Path) -> None:
@@ -264,7 +269,8 @@ def write_summary(result: CaseResult, path: Path) -> None:
     items.append(("rtahs.samples", str(len(result.rtahs))))
     items.append(("rtahs.truncated", str(result.rtahs.truncated).lower()))
     items.append(("oracle.truncated", str(result.oracle.truncated).lower()))
-    items += metrics_summary_items(result.metrics)
+    for channel, m in sorted(result.metrics.items()):
+        items += [(f"metrics.{channel}.{k}", v) for k, v in metric_items(m)]
     for side, st in (("server", result.server_stats), ("surrogate", result.surrogate_stats)):
         if st is not None:
             items += [(f"session.{side}.{f.name}", str(getattr(st, f.name))) for f in fields(st)]

@@ -122,11 +122,6 @@ class Frame(NamedTuple):
     displacements: Optional[tuple[float, ...]] = None
     handshake: Optional[Handshake] = None
 
-    @property
-    def flags(self) -> int:
-        forces, displacements = self.forces is not None, self.displacements is not None
-        return forces * FLAG_FORCES | displacements * FLAG_DISPLACEMENTS
-
 
 def encode_frame(f: Frame) -> bytes:
     """Serialize a frame; raises :class:`FrameEncodeError` if any

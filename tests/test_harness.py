@@ -12,11 +12,12 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from rtahs.cases import default_config
+from rtahs.cases import CosimSettings, default_config
 import rtahs.config
-from rtahs import harness
+from rtahs import cosim, harness
 from rtahs.cli import main
 from rtahs.config import ConfigFileError, config_from_dict, load_config
+from rtahs.estimators import FilterNumericalError
 from rtahs.harness import (
     FLOAT_FMT,
     build_surrogate_session,
@@ -28,7 +29,26 @@ from rtahs.harness import (
     series_to_csv,
     write_case_artifacts,
 )
-from rtahs.integrators import TimeSeries
+from rtahs.integrators import IntegrationError, TimeSeries
+
+# A heave force of 2000 times the heave velocity, a negative damping
+# thousands of times the structure's, pumps the heave mode until the
+# AEKF's innovation covariance turns singular at step 1058 of 1501.
+SINGULAR_AT_1058 = """\
+case: case2dof
+t_end: 1.5
+coupling: {variant: custom, E_d: [[2000.0, 0.0], [0.0, 4.0]], E_s: [[0.0, 0.0], [0.0, 0.0]]}
+"""
+
+# No initial displacement and no noise: every trajectory, the oracle's
+# included, is all zero, so no normalized RMS is defined.
+ZERO_REFERENCE = """\
+case: case1-linear
+t_end: 0.2
+structure: {x0: {heave: {disp: 0.0, vel: 0.0}}}
+surrogate: {disp_noise_std: 0.0, force_noise_std: 0.0}
+"""
+
 
 def short_cfg(case="case1-linear", **over):
     return default_config(case, t_end=1.0, **over)
@@ -60,6 +80,34 @@ class TestRunCase:
     def test_case2dof_metrics_per_channel(self):
         res = run_case(default_config("case2dof", t_end=2.0))
         assert set(res.metrics) == {"x_heave", "x_torsion"}
+
+    @pytest.mark.parametrize("mode", ["in-process", "udp"])
+    def test_filter_failure_is_a_session_error_with_the_partial_series(self, mode):
+        cfg = replace(config_from_dict(yaml.safe_load(SINGULAR_AT_1058)), mode=mode)
+        with pytest.raises(cosim.SessionError, match="step 1058: singular") as err:
+            run_loop(cfg)
+        assert isinstance(err.value.__cause__, FilterNumericalError)
+        assert err.value.last_good_step == 1057
+        assert len(err.value.partial_series) == 1058
+
+    @pytest.mark.parametrize("mode", ["in-process", "udp"])
+    def test_truth_failure_is_a_session_error_with_the_partial_series(self, monkeypatch, mode):
+        # the surrogate's truth fails on its 51st advance, after step 50
+        # has been exchanged; in UDP mode the server then hears nothing
+        calls = []
+
+        def failing_advance(self):
+            calls.append(1)
+            if len(calls) == 51:
+                raise IntegrationError("non-finite state")
+
+        monkeypatch.setattr(cosim.SurrogateSession, "advance", failing_advance)
+        cfg = short_cfg(mode=mode, cosim=CosimSettings(timeout=0.02, max_retries=1))
+        with pytest.raises(cosim.SessionError, match="non-finite state") as err:
+            run_loop(cfg)
+        assert isinstance(err.value.__cause__, IntegrationError)
+        assert err.value.last_good_step == 50
+        assert len(err.value.partial_series) == 51
 
 
 class TestOneStepperPerCase:
@@ -504,6 +552,54 @@ class TestCli:
         cfgfile.write_text("case: case1-linear\nt_end: 6.0\naero: {Y1: 300.0}\n")
         rc = main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert rc == 4
+
+    @pytest.mark.parametrize("mode", ["in-process", "udp"])
+    def test_filter_failure_exit_code_and_partial_csv(self, tmp_path, capsys, mode):
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(SINGULAR_AT_1058)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgfile), "--mode", mode, "--out", str(out)])
+        assert rc == 3
+        assert "step 1058: singular innovation covariance" in capsys.readouterr().err
+        assert len(read_series(out / "rtahs.partial.csv")) == 1058
+        assert sorted(p.name for p in out.iterdir()) == ["rtahs.partial.csv"]
+
+    @pytest.mark.parametrize(
+        "case, dofs",
+        [
+            ("case1-nonlinear", ["torsion"]),
+            ("case1-linear", ["heave", "torsion"]),
+            ("case2dof", ["heave", "transverse", "torsion"]),
+        ],
+    )
+    def test_dof_set_the_case_cannot_run_exit_code(self, tmp_path, capsys, case, dofs):
+        modal = [{"dof": d, "inertia": 1.0, "damping_ratio": 0.01, "circ_freq": 10.0} for d in dofs]
+        x0 = {d: {"disp": 0.01, "vel": 0.0} for d in dofs}
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(
+            yaml.safe_dump({"case": case, "t_end": 0.2, "structure": {"modal": modal, "x0": x0}})
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert f"case {case} takes exactly the DOFs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_reference_is_undefined_in_every_rendering(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(ZERO_REFERENCE)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert "x_heave: rms_error=0 peak_error=0 normalized_rms=undefined" in (
+            capsys.readouterr().out
+        )
+        argv = ["compare", str(out / "oracle.csv"), str(out / "rtahs.csv"), "--channel", "x_heave"]
+        assert main(argv) == 0
+        assert "normalized_rms = undefined" in capsys.readouterr().out.splitlines()
+        argv = ["delay-study", "--config", str(cfgfile), "--taus", "0,0.01", "--out", str(out)]
+        assert main(argv) == 0
+        rows = [r.split(",") for r in (out / "delay_study.csv").read_text().splitlines()]
+        assert rows[0][5] == "normalized_rms"
+        assert [r[5] for r in rows[1:]] == ["undefined", "undefined"]
 
     def test_compare_subcommand(self, tmp_path, capsys):
         res = run_case(short_cfg())
