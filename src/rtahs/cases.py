@@ -390,8 +390,7 @@ def nonlinear_heave_model(inertia: float, omega0: float, D: float, dt: float) ->
     _acc = heave_acceleration(inertia, omega0, D)
 
     def propagate(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        h, v = float(x[0]), float(x[1])
-        uu = float(u[0])
+        (h, v), (uu,) = x.tolist(), u.tolist()
         acc = lambda t, h, v: _acc(h, v, uu)
         for _ in range(substeps):
             h, v = rk4_scalar_2nd(acc, h, v, 0.0, h_sub)
@@ -400,7 +399,7 @@ def nonlinear_heave_model(inertia: float, omega0: float, D: float, dt: float) ->
     jac = heave_jacobian(omega0, D)
 
     def jac_transition(x, u):
-        j21, j22 = jac(float(x[0]), float(x[1]))
+        j21, j22 = jac(*x.tolist())
         # exp([[0, dt], [j21*dt, j22*dt]]) to fourth order, elementwise.
         b = j21 * dt
         c = j22 * dt

@@ -6,17 +6,20 @@ Subcommands: ``run`` (full case: loop + oracle + metrics + artifacts),
 
 Exit codes: 0 success, 2 configuration or input error (including a file
 that cannot be read and an address that cannot be bound), 3 session
-error or numerical failure of the filter or an integrator (``run``
-writes the partial trajectory to ``rtahs.partial.csv``), 4 success with
-divergence-truncated series (informational).
+error or numerical failure of the filter or an integrator (``run``, and
+``serve`` with ``--out``, write the partial trajectory to
+``rtahs.partial.csv``), 4 success with divergence-truncated series
+(informational).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,20 +55,31 @@ def _load_case(args) -> "CaseConfig":
     return cfg
 
 
-def _cmd_run(args) -> int:
+@contextmanager
+def _partial_csv_on_failure(out: Optional[Path]):
+    """Write the partial trajectory of a SessionError raised inside the
+    block to ``out/rtahs.partial.csv``, if ``out`` is given, and re-raise."""
     from .cosim import SessionError
-    from .harness import metric_items, run_case, write_case_artifacts, write_series
+    from .harness import write_series
+
+    try:
+        yield
+    except SessionError as exc:
+        series = exc.partial_series
+        if out is not None and series is not None and len(series) > 0:
+            out.mkdir(parents=True, exist_ok=True)
+            write_series(series, out / "rtahs.partial.csv")
+            print(f"partial trajectory written to {out / 'rtahs.partial.csv'}", file=sys.stderr)
+        raise
+
+
+def _cmd_run(args) -> int:
+    from .harness import metric_items, run_case, write_case_artifacts
 
     cfg = _load_case(args)
     out = Path(args.out)
-    try:
+    with _partial_csv_on_failure(out):
         result = run_case(cfg)
-    except SessionError as exc:
-        if exc.partial_series is not None and len(exc.partial_series) > 0:
-            out.mkdir(parents=True, exist_ok=True)
-            write_series(exc.partial_series, out / "rtahs.partial.csv")
-            print(f"partial trajectory written to {out / 'rtahs.partial.csv'}", file=sys.stderr)
-        raise
     paths = write_case_artifacts(result, out)
     for channel, m in sorted(result.metrics.items()):
         print(f"{channel}: " + " ".join(f"{k}={v}" for k, v in metric_items(m, "{:.6g}")))
@@ -78,14 +92,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_serve(args) -> int:
     from .cosim import NumericalServer
-    from .harness import build_estimator_session, write_series
+    from .harness import build_estimator_session, numerical_failure_as_session_error, write_series
 
     cfg = _load_case(args)
     server = NumericalServer(cfg, build_estimator_session(cfg), bind=_parse_addr(args.bind))
     print(f"numerical substructure listening on {server.address[0]}:{server.address[1]}")
-    series = server.run()
-    if args.out:
-        out = Path(args.out)
+    out = Path(args.out) if args.out else None
+    with _partial_csv_on_failure(out), numerical_failure_as_session_error(server.session):
+        series = server.run()
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_series(series, out / "rtahs.csv")
         print(f"trajectory written to {out / 'rtahs.csv'}")

@@ -23,6 +23,7 @@ import socket
 import threading
 import time
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -399,24 +400,28 @@ class SurrogateSession:
         self.force_noise_std = force_noise_std
         self.rng = np.random.default_rng(seed)
         self._forces = deque(maxlen=delay_steps + 1)
-        self._noise_block: Optional[np.ndarray] = None
 
     def prepare(self, n_samples: int, n_dofs: int) -> None:
-        """Pre-draw the per-step noise block; :meth:`measure` of step k
-        reads row k, so ``prepare`` must run first."""
-        self._noise_block = self.rng.standard_normal((n_samples, 2 * n_dofs))
+        """Pre-draw the per-step noise block, force columns then
+        displacement columns, and scale each group by its std once, in
+        place, so that :meth:`measure` of step k only adds row k of each
+        group: the same products, so the same bits.  ``prepare`` must run
+        first."""
+        block = self.rng.standard_normal((n_samples, 2 * n_dofs))
+        block[:, :n_dofs] *= self.force_noise_std
+        block[:, n_dofs:] *= self.disp_noise_std
+        self._force_noise, self._disp_noise = block[:, :n_dofs], block[:, n_dofs:]
 
     def measure(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The noisy measurement of step k: the generator's outputs plus
+        row k of the pre-scaled noise, one add per channel group, and
+        the force of ``delay_steps`` steps before."""
         forces, disps = self.generator.outputs()
-        n = len(forces)
-        eps = self._noise_block[k]
-        forces = forces + self.force_noise_std * eps[:n]
-        disps = disps + self.disp_noise_std * eps[n:]
-        self._forces.append(forces)
-        return self._forces[0], disps
+        self._forces.append(forces + self._force_noise[k])
+        return self._forces[0], disps + self._disp_noise[k]
 
-    def apply_command(self, displacements: np.ndarray) -> None:
-        self.generator.receive_command(np.asarray(displacements, dtype=float))
+    def apply_command(self, displacements) -> None:
+        self.generator.receive_command(displacements)
 
     def advance(self) -> None:
         self.generator.advance()
@@ -480,11 +485,23 @@ class NumericalServer:
         return self.endpoint.stats
 
     def run(self) -> TimeSeries:
+        """Serve one session.  When the estimator fails after the
+        handshake, the pinned peer is sent a SHUTDOWN before the socket
+        closes, so that its request fails at once on the unexpected
+        frame instead of waiting out its silence budget.  That SHUTDOWN
+        is not resent: if it is lost, the peer waits as before."""
         try:
             return self._run()
         except SessionError as exc:
             if exc.partial_series is None:
                 exc.partial_series = self.session.series()
+            raise
+        except Exception:
+            cfg = self.cfg
+            if self.endpoint.pinned:
+                bye = Frame(MsgType.SHUTDOWN, cfg.n_dofs, cfg.n_samples + 1, cfg.t_end)
+                with suppress(OSError):  # the estimator's failure is the one to report
+                    self.endpoint.send(bye)
             raise
         finally:
             self.sock.close()
@@ -503,16 +520,11 @@ class NumericalServer:
             raise SessionError(
                 f"handshake mismatch: peer proposed {reply.handshake}, expected {expected}"
             )
+        measurement, command, dt = MsgType.MEASUREMENT, MsgType.COMMAND, cfg.dt
         for k in range(n_samples):
-            meas = ep.answer(reply, MsgType.MEASUREMENT, k + 1, budget)
+            meas = ep.answer(reply, measurement, k + 1, budget)
             cmd = self.session.process(k, meas.forces, meas.displacements)
-            reply = Frame(
-                msg_type=MsgType.COMMAND,
-                dof_count=n_dofs,
-                seq=k + 1,
-                sim_time=k * cfg.dt,
-                displacements=tuple(cmd.tolist()),
-            )
+            reply = Frame(command, n_dofs, k + 1, k * dt, None, tuple(cmd.tolist()))
 
         # Final SHUTDOWN exchange; losing it does not affect the data.
         try:
@@ -547,17 +559,13 @@ class SurrogateRunner:
         cfg = self.cfg
         ep = self.endpoint
         n_samples, n_dofs = cfg.n_samples, cfg.n_dofs
+        measurement, command, dt = MsgType.MEASUREMENT, MsgType.COMMAND, cfg.dt
 
         def exchange(k: int, forces: np.ndarray, disps: np.ndarray) -> tuple[float, ...]:
             meas = Frame(
-                msg_type=MsgType.MEASUREMENT,
-                dof_count=n_dofs,
-                seq=k + 1,
-                sim_time=k * cfg.dt,
-                forces=tuple(forces.tolist()),
-                displacements=tuple(disps.tolist()),
+                measurement, n_dofs, k + 1, k * dt, tuple(forces.tolist()), tuple(disps.tolist())
             )
-            return ep.request(meas, MsgType.COMMAND, k + 1).displacements
+            return ep.request(meas, command, k + 1).displacements
 
         hs = Frame(
             msg_type=MsgType.HANDSHAKE,

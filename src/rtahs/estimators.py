@@ -60,12 +60,16 @@ def floor_spd(M: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     Larger ones are decomposed by numpy's ``eigh_lo`` gufunc, the LAPACK
     ``dsyevd`` kernel behind ``np.linalg.eigh``, called directly to skip
     that wrapper's error-state handling (same eigenpairs bit for bit).
-    The kernel reports a decomposition that fails to converge, as one of
-    a non-finite matrix does, as NaN eigenvalues, which raises
-    FilterNumericalError.
+    A NaN or infinite entry raises FilterNumericalError before the
+    kernel runs, since the kernel may leave the NaNs of such a matrix
+    anywhere among the eigenvalues.  The kernel fills the eigenvalues of
+    a decomposition that fails to converge with NaN, which raises too.
     """
     if len(M) <= 2:
         return _floor_rows(M.tolist(), floor)
+    # any inf/nan entry poisons the sum
+    if not math.isfinite(np.add.reduce(M, None)):
+        raise FilterNumericalError("non-finite covariance")
     M = symmetrize(M)
     w, V = eigh_lo(M, signature="d->dd")
     if math.isnan(w[0]):
@@ -307,41 +311,38 @@ def _sdof_scalar_step(
 ) -> FilterState:
     """Fused predict+update for the 2-state / scalar-displacement-
     observation shape of the single-DOF loops: the same algebra as
-    predict + _update_core carried out in plain floats (50k-step
-    real-time loops live on this path)."""
+    predict + _update_core in plain Python floats, in the same order
+    (50k-step real-time loops live on this path).  Each input array is
+    read once with ``tolist``: the propagated state, A, P, Q, H, R and
+    the noise means q and r."""
     n = fs.noise
     try:
         x_prop = m.propagate(fs.x, u)
     except IntegrationError as exc:
         raise FilterNumericalError("non-finite prediction", step=fs.k + 1) from exc
-    xp1 = float(x_prop[0]) + n.q[0]
-    xp2 = float(x_prop[1]) + n.q[1]
-    A = m.jac_transition(fs.x, u)
-    a11, a12 = A[0, 0], A[0, 1]
-    a21, a22 = A[1, 0], A[1, 1]
-    P = fs.P
-    p11, p12, p22 = P[0, 0], 0.5 * (P[0, 1] + P[1, 0]), P[1, 1]
-    Q = n.Q
+    (xq1, xq2), (q1, q2) = x_prop.tolist(), n.q.tolist()
+    xp1, xp2 = xq1 + q1, xq2 + q2
+    (a11, a12), (a21, a22) = m.jac_transition(fs.x, u).tolist()
+    (p11, p12), (p21, p22) = fs.P.tolist()
+    p12 = 0.5 * (p12 + p21)
+    (Q11, Q12), (Q21, Q22) = n.Q.tolist()
     # symmetrized A P A' + Q
     t11 = a11 * p11 + a12 * p12
     t12 = a11 * p12 + a12 * p22
     t21 = a21 * p11 + a22 * p12
     t22 = a21 * p12 + a22 * p22
-    pp11 = t11 * a11 + t12 * a12 + Q[0, 0]
-    pp22 = t21 * a21 + t22 * a22 + Q[1, 1]
-    pp12 = 0.5 * ((t11 * a21 + t12 * a22) + (t21 * a11 + t22 * a12)) + 0.5 * (
-        Q[0, 1] + Q[1, 0]
-    )
-    H = m.H
-    h1, h2 = H[0, 0], H[0, 1]
+    pp11 = t11 * a11 + t12 * a12 + Q11
+    pp22 = t21 * a21 + t22 * a22 + Q22
+    pp12 = 0.5 * ((t11 * a21 + t12 * a22) + (t21 * a11 + t22 * a12)) + 0.5 * (Q12 + Q21)
+    ((h1, h2),), ((R,),), (r,) = m.H.tolist(), n.R.tolist(), n.r.tolist()
     ph1 = pp11 * h1 + pp12 * h2
     ph2 = pp12 * h1 + pp22 * h2
-    s = h1 * ph1 + h2 * ph2 + n.R[0, 0]
+    s = h1 * ph1 + h2 * ph2 + R
     if s == 0.0 or not math.isfinite(s):
         raise FilterNumericalError("singular innovation covariance", step=fs.k + 1)
     g1 = ph1 / s
     g2 = ph2 / s
-    inn = float(z[0]) - (h1 * xp1 + h2 * xp2) - n.r[0]
+    inn = float(z[0]) - (h1 * xp1 + h2 * xp2) - r
     x1 = xp1 + g1 * inn
     x2 = xp2 + g2 * inn
     if not math.isfinite(x1 + x2):
@@ -354,9 +355,7 @@ def _sdof_scalar_step(
     disc = math.hypot(0.5 * (q11 - q22), q12)
     rows = [[q11, q12], [q12, q22]]
     P_post = np.array(rows) if mean - disc >= PSD_FLOOR else _floor_rows(rows, PSD_FLOOR)
-    return FilterState(
-        x=np.array([x1, x2]), P=P_post, noise=fs.noise, k=fs.k + 1
-    )
+    return FilterState(x=np.array([x1, x2]), P=P_post, noise=fs.noise, k=fs.k + 1)
 
 
 def ekf_step(

@@ -5,6 +5,7 @@ write the CSV/summary artifacts."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -81,6 +82,22 @@ def build_surrogate_session(cfg: CaseConfig) -> SurrogateSession:
     )
 
 
+@contextmanager
+def numerical_failure_as_session_error(est: EstimatorSession):
+    """Re-raise a filter or integrator failure inside the block as a
+    SessionError chained to it, with the estimator's series up to its
+    last good step."""
+    try:
+        yield
+    except (FilterNumericalError, IntegrationError) as exc:
+        partial = est.series()
+        raise SessionError(
+            f"numerical failure: {exc}",
+            last_good_step=len(partial) - 1 if len(partial) else None,
+            partial_series=partial,
+        ) from exc
+
+
 def run_loop(cfg: CaseConfig, trace_covariance: bool = False):
     """Run only the hybrid loop of a case; returns (series, server
     stats, surrogate stats, min covariance eigenvalue seen).  A filter or
@@ -88,7 +105,7 @@ def run_loop(cfg: CaseConfig, trace_covariance: bool = False):
     the estimator's series up to its last good step."""
     est = build_estimator_session(cfg, trace_covariance=trace_covariance)
     sur = build_surrogate_session(cfg)
-    try:
+    with numerical_failure_as_session_error(est):
         if cfg.mode == "udp":
             loss_rate = cfg.cosim.loss_rate
             server_loss = LossInjector(loss_rate, seed=cfg.seed + 1) if loss_rate else None
@@ -97,13 +114,6 @@ def run_loop(cfg: CaseConfig, trace_covariance: bool = False):
         else:
             series = run_in_process(est, sur, cfg.n_samples)
             sstats = pstats = None
-    except (FilterNumericalError, IntegrationError) as exc:
-        partial = est.series()
-        raise SessionError(
-            f"numerical failure: {exc}",
-            last_good_step=len(partial) - 1 if len(partial) else None,
-            partial_series=partial,
-        ) from exc
     min_eig = min(est.cov_min_eig) if est.cov_min_eig else None
     return series, sstats, pstats, min_eig
 

@@ -111,6 +111,26 @@ class TestDelayLine:
         assert not np.array_equal(run(0.0015).channel("f_heave"), run(0.001).channel("f_heave"))
 
 
+class TestMeasurementNoise:
+    def test_measure_adds_the_scaled_raw_draw_bit_for_bit(self):
+        # the block prepare draws is scaled once per channel group, so
+        # step k reads the generator's outputs plus std times row k of
+        # the raw default_rng(seed) draw, forces first
+        f0, d0 = np.array([0.3, -1.2]), np.array([0.01, -0.02])
+
+        class Constant:
+            def outputs(self):
+                return f0.copy(), d0.copy()
+
+        sur = SurrogateSession(Constant(), disp_noise_std=1e-5, force_noise_std=1e-4, seed=7)
+        sur.prepare(50, 2)
+        eps = np.random.default_rng(7).standard_normal((50, 4))
+        for k in range(50):
+            f, d = sur.measure(k)
+            assert np.array_equal(f, f0 + 1e-4 * eps[k, :2]), k
+            assert np.array_equal(d, d0 + 1e-5 * eps[k, 2:]), k
+
+
 class TestLossInjector:
     def test_zero_rate_never_drops(self):
         inj = LossInjector(0.0, seed=1)

@@ -1,7 +1,9 @@
 """Kalman-family estimators: prediction/update algebra, covariance
 matching, and the filter-equality properties."""
 
+import itertools
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -389,6 +391,70 @@ def textbook_aekf_step(fs, u, z, m, forgetting_factor, clamps):
     return FilterState(x=x_post, P=P_post, noise=noise, k=fs.k + 1)
 
 
+def numpy_scalar_sdof_step(fs, u, z, m):
+    """The fused single-DOF EKF step in its numpy-scalar form: every
+    matrix entry indexed out of its array and the algebra done on
+    np.float64 scalars, in the order of the fused step; the floor is
+    :func:`reference_floor`."""
+    n = fs.noise
+    x_prop = m.propagate(fs.x, u)
+    xp1 = float(x_prop[0]) + n.q[0]
+    xp2 = float(x_prop[1]) + n.q[1]
+    A = m.jac_transition(fs.x, u)
+    a11, a12, a21, a22 = A[0, 0], A[0, 1], A[1, 0], A[1, 1]
+    P, Q, H = fs.P, n.Q, m.H
+    p11, p12, p22 = P[0, 0], 0.5 * (P[0, 1] + P[1, 0]), P[1, 1]
+    t11 = a11 * p11 + a12 * p12
+    t12 = a11 * p12 + a12 * p22
+    t21 = a21 * p11 + a22 * p12
+    t22 = a21 * p12 + a22 * p22
+    pp11 = t11 * a11 + t12 * a12 + Q[0, 0]
+    pp22 = t21 * a21 + t22 * a22 + Q[1, 1]
+    pp12 = 0.5 * ((t11 * a21 + t12 * a22) + (t21 * a11 + t22 * a12)) + 0.5 * (
+        Q[0, 1] + Q[1, 0]
+    )
+    h1, h2 = H[0, 0], H[0, 1]
+    ph1 = pp11 * h1 + pp12 * h2
+    ph2 = pp12 * h1 + pp22 * h2
+    s = h1 * ph1 + h2 * ph2 + n.R[0, 0]
+    g1, g2 = ph1 / s, ph2 / s
+    inn = float(z[0]) - (h1 * xp1 + h2 * xp2) - n.r[0]
+    q11 = pp11 - g1 * ph1
+    q22 = pp22 - g2 * ph2
+    q12 = pp12 - 0.5 * (g1 * ph2 + g2 * ph1)
+    P_post = reference_floor(np.array([[q11, q12], [q12, q22]]))
+    x_post = np.array([xp1 + g1 * inn, xp2 + g2 * inn])
+    return FilterState(x=x_post, P=P_post, noise=n, k=fs.k + 1)
+
+
+class TestSdofBitIdentity:
+    @pytest.mark.parametrize("case", ["case1-linear", "case1-nonlinear"])
+    def test_loop_equals_numpy_scalar_form(self, monkeypatch, case):
+        # Record every ekf_step of a 2-s in-process run of the shipped
+        # config (kf for case1-linear, ekf for case1-nonlinear), then
+        # fold the numpy-scalar form of the fused step over the recorded
+        # inputs: each step's x and P must match bit for bit.
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{case}.yaml"
+        cfg = replace(load_config(path), mode="in-process", t_end=2.0)
+        steps = []
+
+        def recording_step(fs, u, z, m):
+            out = ekf_step(fs, u, z, m)
+            steps.append((fs, u, z, m, out))
+            return out
+
+        monkeypatch.setattr(cosim, "ekf_step", recording_step)
+        run_loop(cfg)
+        assert len(steps) == cfg.n_samples - 1
+        ref = steps[0][0]
+        for _, u, z, m, out in steps:
+            assert m.H.shape == (1, 2)
+            ref = numpy_scalar_sdof_step(ref, u, z, m)
+            assert ref.k == out.k
+            assert np.array_equal(ref.x, out.x), f"step {out.k}: x differs"
+            assert np.array_equal(ref.P, out.P), f"step {out.k}: P differs"
+
+
 class TestAekfBitIdentity:
     def test_case2dof_loop_equals_textbook_composition(self, monkeypatch):
         # Record every aekf_step of a 2-s in-process run of the shipped
@@ -551,6 +617,19 @@ class TestCovarianceFloor:
             M[i, j] = bad
             with np.errstate(invalid="ignore", divide="ignore"):
                 with pytest.raises(FilterNumericalError):
+                    floor_spd(M)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_floor_spd_4x4_raises_at_every_position_without_a_warning(self, bad):
+        # eigh_lo on such a matrix puts the NaN eigenvalues of a deflated
+        # block anywhere and may warn first, so the floor checks the
+        # entries before it decomposes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, j in itertools.product(range(4), repeat=2):
+                M = np.eye(4)
+                M[i, j] = bad
+                with pytest.raises(FilterNumericalError, match="non-finite covariance"):
                     floor_spd(M)
 
 

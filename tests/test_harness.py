@@ -90,6 +90,41 @@ class TestRunCase:
         assert err.value.last_good_step == 1057
         assert len(err.value.partial_series) == 1058
 
+    def test_filter_failure_ends_the_udp_surrogate_at_once(self, monkeypatch):
+        # the server sends its pinned peer a SHUTDOWN before it closes, so
+        # the surrogate's request fails on that frame and never waits out
+        # its silence budget; the partial series is the in-process one
+        runners, errors = [], []
+
+        class RecordedRunner(cosim.SurrogateRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(self)
+
+            def run(self):
+                try:
+                    super().run()
+                except cosim.SessionError as exc:
+                    errors.append(exc)
+                    raise
+
+        monkeypatch.setattr(cosim, "SurrogateRunner", RecordedRunner)
+        cfg = config_from_dict(yaml.safe_load(SINGULAR_AT_1058))
+        partial = {}
+        for mode in ("in-process", "udp"):
+            with pytest.raises(cosim.SessionError, match="step 1058: singular") as err:
+                run_loop(replace(cfg, mode=mode))
+            assert err.value.last_good_step == 1057
+            partial[mode] = err.value.partial_series
+        assert len(partial["udp"]) == 1058
+        assert np.array_equal(partial["udp"].t, partial["in-process"].t)
+        for name, col in partial["in-process"].data.items():
+            assert np.array_equal(partial["udp"].data[name], col), name
+        (runner,) = runners
+        assert runner.stats.timeouts == 0 and runner.stats.retries == 0
+        assert len(errors) == 1
+        assert "unexpected SHUTDOWN seq 1502 while waiting for COMMAND seq 1059" in str(errors[0])
+
     @pytest.mark.parametrize("mode", ["in-process", "udp"])
     def test_truth_failure_is_a_session_error_with_the_partial_series(self, monkeypatch, mode):
         # the surrogate's truth fails on its 51st advance, after step 50
@@ -697,6 +732,50 @@ class TestCli:
         t.join(timeout=10.0)
         assert rcs["physical"] == 0
         assert len(series) == 201
+
+    def test_serve_filter_failure_exit_code_and_partial_csv(self, tmp_path, monkeypatch):
+        # serve against physical on the diverging config: both exit 3, and
+        # serve writes the partial trajectory that run writes
+        import threading
+
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(SINGULAR_AT_1058)
+        bound = threading.Event()
+
+        class BoundServer(cosim.NumericalServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                bound.set()
+
+        monkeypatch.setattr(cosim, "NumericalServer", BoundServer)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            probe.bind(("127.0.0.1", 0))
+            addr = "127.0.0.1:%d" % probe.getsockname()[1]
+        rcs = {}
+
+        def call(name, *args):
+            rcs[name] = main([name, *args, "--config", str(cfgfile)])
+
+        serve = threading.Thread(
+            target=call, args=("serve", "--bind", addr, "--out", str(tmp_path / "serve")),
+            daemon=True,
+        )
+        physical = threading.Thread(
+            target=call, args=("physical", "--connect", addr), daemon=True
+        )
+        serve.start()
+        assert bound.wait(timeout=10.0)
+        physical.start()
+        for thread in (physical, serve):
+            thread.join(timeout=30.0)
+        assert rcs == {"serve": 3, "physical": 3}
+        served = tmp_path / "serve"
+        assert sorted(p.name for p in served.iterdir()) == ["rtahs.partial.csv"]
+        run = tmp_path / "run"
+        assert main(["run", "--config", str(cfgfile), "--out", str(run)]) == 3
+        assert (served / "rtahs.partial.csv").read_bytes() == (
+            run / "rtahs.partial.csv"
+        ).read_bytes()
 
     def test_serve_and_physical_give_the_run_trajectory(self, tmp_path, monkeypatch):
         # the two-process deployment, one endpoint per CLI call on its own

@@ -22,10 +22,11 @@ def test_one_repeat_times_both_steps_and_the_loop():
     assert lines[3].split() == ["quantity", "unit", "A", "min", "A", "median", "B", "min", "B",
                                 "median", "change"]
     number = r"\s+(\d[\d.e+-]*)"
-    for line, (name, unit) in zip(lines[4:], (("aekf_step", "us"), ("ekf_step", "us"),
-                                              ("loop_10s", "s"))):
+    quantities = (("aekf_step", "us"), ("ekf_step", "us"), ("loop_10s", "s"),
+                  ("ekf_case1", "us"), ("udp_10s", "s"))
+    for line, (name, unit) in zip(lines[4:], quantities, strict=True):
         m = re.fullmatch(rf"{name}\s+{unit}{number * 4}\s+[+-]\d+\.\d%", line)
         assert m, line
         a_min, a_med, b_min, b_med = map(float, m.groups())
         assert 0 < a_min <= a_med and 0 < b_min <= b_med
-    assert len(lines) == 7
+    assert len(lines) == 9

@@ -8,10 +8,13 @@ Each measurement runs in a fresh process that imports ``rtahs`` from
 of step 3000 as its operating point.  There it times ``aekf_step`` (the
 config's forgetting factor) and ``ekf_step`` in 5 rounds of C calls each
 and keeps the fastest round.  Then it times one 10-s in-process
-``run_loop`` of the same config.  The trees alternate, A then B, N
-times, all pinned to one CPU.  For each quantity the script prints the
-min and the median over the N processes of each tree, and the change
-of B's median against A's.  Exits 0.
+``run_loop`` of the same config.  It does the same for the shipped
+``configs/case1-nonlinear.yaml``: ``ekf_step`` at step 3000, the fused
+single-DOF step (``ekf_case1``), and one 10-s ``run_loop`` over UDP
+(``udp_10s``).  The trees alternate, A then B, N times, all pinned to one
+CPU.  For each quantity the script prints the min and the median over
+the N processes of each tree, and the change of B's median against A's.
+Exits 0.
 """
 
 from __future__ import annotations
@@ -28,45 +31,64 @@ from pathlib import Path
 OPERATING_STEP = 3000
 ROUNDS = 5
 LOOP_SECONDS = 10.0
-QUANTITIES = (("aekf_step", "us"), ("ekf_step", "us"), ("loop_10s", "s"))
+QUANTITIES = (
+    ("aekf_step", "us"),
+    ("ekf_step", "us"),
+    ("loop_10s", "s"),
+    ("ekf_case1", "us"),
+    ("udp_10s", "s"),
+)
 
 
 def measure(tree: str, calls: int) -> dict[str, float]:
-    """Per-call times of both steps at the operating point and the
-    wall time of a 10-s loop, on the tree's sources."""
+    """Per-call times of the steps at their operating points and the
+    wall times of the two 10-s loops, on the tree's sources."""
     sys.path.insert(0, str(Path(tree) / "src"))
     from rtahs import cosim
     from rtahs.config import load_config
     from rtahs.estimators import aekf_step, ekf_step
     from rtahs.harness import run_loop
 
-    cfg = replace(load_config(Path(tree) / "configs" / "case2dof.yaml"), mode="in-process")
-    recorded = []
+    def operating_point(cfg, name: str):
+        """(fs, u, z, m) of step 3000 of cfg in process, recorded at the
+        step ``cosim.<name>``."""
+        step, recorded = getattr(cosim, name), []
 
-    def recording_step(fs, u, z, m, forgetting_factor):
-        if fs.k + 1 == OPERATING_STEP:
-            recorded.append((fs, u.copy(), z.copy(), m))
-        return aekf_step(fs, u, z, m, forgetting_factor)
+        def recording_step(fs, u, z, m, **kwargs):
+            if fs.k + 1 == OPERATING_STEP:
+                recorded.append((fs, u.copy(), z.copy(), m))
+            return step(fs, u, z, m, **kwargs)
 
-    cosim.aekf_step = recording_step
-    run_loop(replace(cfg, t_end=OPERATING_STEP * cfg.dt))
-    cosim.aekf_step = aekf_step
-    fs, u, z, m = recorded[0]
-    b = cfg.filter.forgetting_factor
+        setattr(cosim, name, recording_step)
+        run_loop(replace(cfg, mode="in-process", t_end=OPERATING_STEP * cfg.dt))
+        setattr(cosim, name, step)
+        return recorded[0]
 
-    def per_call_us(step, *extra) -> float:
+    def per_call_us(step, point, *extra) -> float:
         best = float("inf")
         for _ in range(ROUNDS):
             start = time.perf_counter()
             for _ in range(calls):
-                step(fs, u, z, m, *extra)
+                step(*point, *extra)
             best = min(best, time.perf_counter() - start)
         return best / calls * 1e6
 
-    out = {"aekf_step": per_call_us(aekf_step, b), "ekf_step": per_call_us(ekf_step)}
-    start = time.perf_counter()
-    run_loop(replace(cfg, t_end=LOOP_SECONDS))
-    out["loop_10s"] = time.perf_counter() - start
+    def loop_s(cfg) -> float:
+        start = time.perf_counter()
+        run_loop(replace(cfg, t_end=LOOP_SECONDS))
+        return time.perf_counter() - start
+
+    configs = Path(tree) / "configs"
+    cfg = replace(load_config(configs / "case2dof.yaml"), mode="in-process")
+    point = operating_point(cfg, "aekf_step")
+    out = {
+        "aekf_step": per_call_us(aekf_step, point, cfg.filter.forgetting_factor),
+        "ekf_step": per_call_us(ekf_step, point),
+        "loop_10s": loop_s(cfg),
+    }
+    cfg = replace(load_config(configs / "case1-nonlinear.yaml"), mode="udp")
+    out["ekf_case1"] = per_call_us(ekf_step, operating_point(cfg, "ekf_step"))
+    out["udp_10s"] = loop_s(cfg)
     return out
 
 
