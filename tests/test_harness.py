@@ -733,13 +733,13 @@ class TestCli:
         assert rcs["physical"] == 0
         assert len(series) == 201
 
-    def test_serve_filter_failure_exit_code_and_partial_csv(self, tmp_path, monkeypatch):
-        # serve against physical on the diverging config: both exit 3, and
-        # serve writes the partial trajectory that run writes
+    @staticmethod
+    def serve_and_physical(tmp_path, monkeypatch, cfgfile):
+        """``rtahs serve --out tmp_path/serve`` and ``rtahs physical``
+        against each other, one endpoint per CLI call on its own thread;
+        returns their exit codes."""
         import threading
 
-        cfgfile = tmp_path / "c.yaml"
-        cfgfile.write_text(SINGULAR_AT_1058)
         bound = threading.Event()
 
         class BoundServer(cosim.NumericalServer):
@@ -768,7 +768,16 @@ class TestCli:
         physical.start()
         for thread in (physical, serve):
             thread.join(timeout=30.0)
-        assert rcs == {"serve": 3, "physical": 3}
+        return rcs
+
+    def test_serve_filter_failure_exit_code_and_partial_csv(self, tmp_path, monkeypatch):
+        # serve against physical on the diverging config: both exit 3, and
+        # serve writes the partial trajectory that run writes
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(SINGULAR_AT_1058)
+        assert self.serve_and_physical(tmp_path, monkeypatch, cfgfile) == {
+            "serve": 3, "physical": 3
+        }
         served = tmp_path / "serve"
         assert sorted(p.name for p in served.iterdir()) == ["rtahs.partial.csv"]
         run = tmp_path / "run"
@@ -781,41 +790,9 @@ class TestCli:
         # the two-process deployment, one endpoint per CLI call on its own
         # thread: the server's trajectory is the in-process run's, byte
         # for byte
-        import socket
-        import threading
-
-        from rtahs import cosim
-
         cfgfile = tmp_path / "c.yaml"
         cfgfile.write_text("case: case1-linear\nt_end: 0.5\n")
-        bound = threading.Event()
-
-        class BoundServer(cosim.NumericalServer):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                bound.set()
-
-        monkeypatch.setattr(cosim, "NumericalServer", BoundServer)
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
-            probe.bind(("127.0.0.1", 0))
-            addr = "127.0.0.1:%d" % probe.getsockname()[1]
-        rcs = {}
-
-        def call(name, *args):
-            rcs[name] = main([name, *args, "--config", str(cfgfile)])
-
-        serve = threading.Thread(
-            target=call, args=("serve", "--bind", addr, "--out", str(tmp_path / "serve")),
-            daemon=True,
-        )
-        physical = threading.Thread(
-            target=call, args=("physical", "--connect", addr), daemon=True
-        )
-        serve.start()
-        assert bound.wait(timeout=10.0)
-        physical.start()
-        for thread in (physical, serve):
-            thread.join(timeout=30.0)
+        rcs = self.serve_and_physical(tmp_path, monkeypatch, cfgfile)
         assert rcs == {"serve": 0, "physical": 0}
         run = tmp_path / "run"
         rc = main(["run", "--config", str(cfgfile), "--mode", "in-process", "--out", str(run)])
