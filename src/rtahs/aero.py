@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import ConfigurationError
+
 # Lower clamp on the normalized amplitude 2a/D: keeps the hyperbolic
 # damping term finite at rest without affecting lock-in amplitudes.
 AMPLITUDE_RATIO_FLOOR = 1e-3
@@ -49,11 +51,11 @@ class AeroParams:
 
     def __post_init__(self):
         if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+            raise ConfigurationError(f"rho must be positive, got {self.rho}")
         if not self.U > 0:
-            raise ValueError(f"U must be positive, got {self.U}")
+            raise ConfigurationError(f"U must be positive, got {self.U}")
         if not self.D > 0:
-            raise ValueError(f"D must be positive, got {self.D}")
+            raise ConfigurationError(f"D must be positive, got {self.D}")
 
     @property
     def dyn_pressure_2d(self) -> float:
@@ -172,9 +174,9 @@ class CoupledSeMatrices:
         E_d = np.asarray(self.E_d, dtype=float)
         E_s = np.asarray(self.E_s, dtype=float)
         if E_d.shape != (2, 2) or E_s.shape != (2, 2):
-            raise ValueError("E_d and E_s must be 2x2")
+            raise ConfigurationError("E_d and E_s must be 2x2")
         if not (np.isfinite(E_d).all() and np.isfinite(E_s).all()):
-            raise ValueError("E_d and E_s must be finite")
+            raise ConfigurationError("E_d and E_s must be finite")
         object.__setattr__(self, "E_d", E_d)
         object.__setattr__(self, "E_s", E_s)
 

@@ -37,6 +37,7 @@ from .aero import (
     vortex_force,
 )
 from .dynamics import (
+    ConfigurationError,
     DofId,
     ModalParams,
     StructuralMatrices,
@@ -68,6 +69,10 @@ MODES = ("in-process", "udp")
 # heights (intentionally divergent runs are data, not errors).
 DISPLACEMENT_LIMIT_HEIGHTS = 1e3
 
+# Largest cosim.timeout, in seconds: select() holds its timeout in int64
+# nanoseconds and overflows past about 9.2e9 s.
+TIMEOUT_MAX = 1e9
+
 # Coupled-force surrogate matrices frozen from a pre-study sweep of the
 # default two-DOF structure (see tests): "convergent" damps both modes,
 # "divergent" destabilizes the torsional branch the way a supercritical
@@ -96,13 +101,15 @@ class FilterSettings:
         for name in ("p0", "process_var"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
         # A positive R keeps the innovation covariance H P H' + R invertible.
         if not (math.isfinite(self.meas_var) and self.meas_var > 0):
-            raise ValueError(f"meas_var must be finite and > 0, got {self.meas_var}")
+            raise ConfigurationError(f"meas_var must be finite and > 0, got {self.meas_var}")
         # Step k of the covariance matching weighs (1-b)/(1-b^k).
         if not 0.0 < self.forgetting_factor < 1.0:
-            raise ValueError(f"forgetting_factor must be in (0, 1), got {self.forgetting_factor}")
+            raise ConfigurationError(
+                f"forgetting_factor must be in (0, 1), got {self.forgetting_factor}"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,28 +122,30 @@ class SurrogateSettings:
     delay_tau: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("integrator", "echo"):
+            raise ConfigurationError(f"unknown surrogate kind {self.kind!r}")
         for name in ("disp_noise_std", "force_noise_std", "delay_tau"):
             if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class CosimSettings:
-    """Lockstep transport: ``timeout`` caps the retransmission timeout
-    and ``(max_retries + 1) * timeout`` is the silence budget of one
-    exchange."""
+    """Lockstep transport: ``timeout`` (at most :data:`TIMEOUT_MAX`) caps
+    the retransmission timeout and ``(max_retries + 1) * timeout`` is the
+    silence budget of one exchange."""
 
     timeout: float = 0.1
     max_retries: int = 3
     loss_rate: float = 0.0
 
     def __post_init__(self):
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout <= TIMEOUT_MAX:
+            raise ConfigurationError(f"timeout must be in (0, {TIMEOUT_MAX:g}], got {self.timeout}")
         if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+            raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries}")
         if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
+            raise ConfigurationError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
 
 
 @dataclass(frozen=True)
@@ -162,25 +171,36 @@ class CaseConfig:
 
     def __post_init__(self):
         if self.case not in CASE_IDS:
-            raise ValueError(f"unknown case {self.case!r}")
+            raise ConfigurationError(f"case must be one of {CASE_IDS}, got {self.case!r}")
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+            raise ConfigurationError(f"unknown estimator {self.estimator!r}")
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigurationError(f"unknown mode {self.mode!r}")
         want = ("heave", "torsion") if self.case == "case2dof" else ("heave",)
         got = tuple(d.label for d in self.dofs)
         if got != want:
-            raise ValueError(
+            raise ConfigurationError(
                 f"case {self.case} takes exactly the DOFs {', '.join(want)}, "
                 f"got {', '.join(got) or 'none'}"
             )
+        if self.case == "case2dof" and self.coupling is None:
+            raise ConfigurationError("case2dof requires coupling matrices")
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise ConfigurationError("dt must be positive")
         if not self.t_end > self.dt:
-            raise ValueError("t_end must exceed dt")
+            raise ConfigurationError("t_end must exceed dt")
+        # n_samples + 1 is the seq of the SHUTDOWN frame, a uint32 on the wire
+        if not self.t_end / self.dt < 2**32 - 2:
+            raise ConfigurationError(f"t_end must be finite and < (2**32 - 2) dt, got {self.t_end}")
+        if not self.surrogate.delay_tau <= self.t_end:
+            raise ConfigurationError(f"delay_tau {self.surrogate.delay_tau} exceeds t_end")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         n = len(self.modal)
         if len(self.x0_disp) != n or len(self.x0_vel) != n:
-            raise ValueError("initial conditions must cover every active DOF")
+            raise ConfigurationError("initial conditions must cover every active DOF")
+        if self.x_hat0 is not None and len(self.x_hat0) != 2 * n:
+            raise ConfigurationError(f"x_hat0 must have {2 * n} entries, got {len(self.x_hat0)}")
 
     @property
     def dofs(self) -> tuple[DofId, ...]:
@@ -226,8 +246,9 @@ def _case2dof_modal() -> tuple[ModalParams, ...]:
 
 def default_config(case: str, estimator: Optional[str] = None, **overrides) -> CaseConfig:
     """Resolved configuration for one of the shipped cases; keyword
-    overrides replace individual fields."""
-    if case in ("case1-linear", "case1-nonlinear"):
+    overrides replace individual fields.  ``CaseConfig`` rejects any
+    other case."""
+    if case != "case2dof":
         linear = case == "case1-linear"
         var = 1e-5 if linear else 1e-8
         cfg = CaseConfig(
@@ -241,7 +262,7 @@ def default_config(case: str, estimator: Optional[str] = None, **overrides) -> C
             x0_vel=(0.0,),
             filter=FilterSettings(p0=1e-10, process_var=var, meas_var=var),
         )
-    elif case == "case2dof":
+    else:
         cfg = CaseConfig(
             case=case,
             estimator=estimator or "aekf",
@@ -254,8 +275,6 @@ def default_config(case: str, estimator: Optional[str] = None, **overrides) -> C
             coupling=COUPLING_CONVERGENT,
             filter=FilterSettings(p0=1e-10, process_var=1e-8, meas_var=1e-8),
         )
-    else:
-        raise ValueError(f"unknown case {case!r}")
     return replace(cfg, **overrides)
 
 
@@ -312,8 +331,6 @@ def _linear_system(cfg: CaseConfig) -> tuple[StructuralMatrices, np.ndarray, np.
         E_s = np.array([[span * linear_se_force(1.0, 0.0, a)]])
         return mats, E_d, E_s
     if cfg.case == "case2dof":
-        if cfg.coupling is None:
-            raise ValueError("case2dof requires coupling matrices")
         return mats, cfg.coupling.E_d, cfg.coupling.E_s
     raise ValueError(f"case {cfg.case!r} is not linear")
 
@@ -369,8 +386,6 @@ def truth_generator(cfg: CaseConfig):
     stepper = case_stepper(cfg)
     if cfg.surrogate.kind == "echo":
         return EchoGenerator(stepper.force_at, cfg.dt, cfg.n_dofs, x0=cfg.x0_disp)
-    if cfg.surrogate.kind != "integrator":
-        raise ValueError(f"unknown surrogate kind {cfg.surrogate.kind!r}")
     return stepper
 
 
@@ -457,7 +472,5 @@ def initial_filter_state(cfg: CaseConfig, model: TransitionModel) -> FilterState
         x0[1::2] = cfg.x0_vel
     else:
         x0 = np.asarray(cfg.x_hat0, dtype=float)
-        if x0.shape != (n,):
-            raise ValueError(f"x_hat0 must have {n} entries")
     return FilterState(x=x0, P=np.eye(n) * cfg.filter.p0, noise=noise, k=0)
 

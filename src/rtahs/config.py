@@ -1,15 +1,33 @@
 """YAML configuration files for the harness.
 
 A config file selects a shipped case and overrides any subset of its
-fields; unknown keys, non-mapping sections and values of another type
-than the default's are rejected (an int may stand for a float, a bool
-never for a number; ``1e-5`` is a float, as in YAML 1.2), and so are
-out-of-range values: ``filter.p0`` and ``filter.process_var`` must be
-finite and non-negative, ``filter.meas_var`` finite and positive,
-``filter.forgetting_factor`` in (0, 1), ``cosim.timeout`` positive,
-``cosim.max_retries`` non-negative, ``cosim.loss_rate`` in [0, 1) and
-the surrogate's noise scales and delay non-negative.  The full schema
-(all values shown are the ``case1-linear`` defaults):
+fields.  Only the checks on the format live here: unknown keys,
+sections that are not mappings, unknown DOF names and coupling
+variants, and values of another type than the default's (an int may
+stand for a float, a bool never for a number; ``1e-5`` is a float, as
+in YAML 1.2).  Each rule on a value lives in the ``__post_init__`` of
+the value type that holds it, and every failure, of the format or of a
+rule, raises :class:`~rtahs.dynamics.ConfigurationError`:
+
+* ``CaseConfig``: a shipped ``case``, ``estimator`` and ``mode``;
+  exactly the case's DOFs; coupling matrices for ``case2dof``;
+  ``dt > 0``; a finite ``t_end > dt`` with ``t_end / dt < 2**32 - 2``,
+  so that the SHUTDOWN frame's seq ``n_samples + 1`` fits the wire's
+  uint32; ``surrogate.delay_tau <= t_end``; ``seed >= 0``; two
+  ``x_hat0`` entries per DOF;
+* ``ModalParams``: ``inertia`` and ``circ_freq`` positive,
+  ``damping_ratio >= 0``;
+* ``AeroParams``: ``rho``, ``U`` and ``D`` positive;
+* ``CoupledSeMatrices``: ``E_d`` and ``E_s`` finite and 2x2;
+* ``FilterSettings``: ``p0`` and ``process_var`` finite and
+  non-negative, ``meas_var`` finite and positive,
+  ``forgetting_factor`` in (0, 1);
+* ``SurrogateSettings``: ``kind`` integrator or echo, the noise scales
+  and ``delay_tau`` non-negative;
+* ``CosimSettings``: ``timeout`` in (0, 1e9] s (``select`` overflows
+  past about 9.2e9 s), ``max_retries >= 0``, ``loss_rate`` in [0, 1).
+
+The full schema (all values shown are the ``case1-linear`` defaults):
 
 .. code-block:: yaml
 
@@ -70,18 +88,8 @@ import numpy as np
 import yaml
 
 from .aero import CoupledSeMatrices
-from .cases import (
-    CASE_IDS,
-    COUPLING_CONVERGENT,
-    COUPLING_DIVERGENT,
-    CaseConfig,
-    default_config,
-)
-from .dynamics import DofId, ModalParams
-
-
-class ConfigFileError(ValueError):
-    """Malformed or inconsistent configuration input."""
+from .cases import COUPLING_CONVERGENT, COUPLING_DIVERGENT, CaseConfig, default_config
+from .dynamics import ConfigurationError, DofId, ModalParams
 
 
 class _Loader(yaml.SafeLoader):
@@ -113,10 +121,10 @@ _TOP_KEYS = {
 
 def _check_keys(section, allowed: set[str], where: str) -> None:
     if not isinstance(section, dict):
-        raise ConfigFileError(f"{where} must be a mapping, got {section!r}")
+        raise ConfigurationError(f"{where} must be a mapping, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigFileError(f"unknown key(s) in {where}: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
 def _coerce(value, like, where: str):
@@ -127,7 +135,7 @@ def _coerce(value, like, where: str):
     else:
         ok = type(value) is type(like)
     if not ok:
-        raise ConfigFileError(f"{where} must be {type(like).__name__}, got {value!r}")
+        raise ConfigurationError(f"{where} must be {type(like).__name__}, got {value!r}")
     return float(value) if isinstance(like, float) else value
 
 
@@ -135,29 +143,20 @@ def _parse_dof(name: str) -> DofId:
     try:
         return DofId[str(name).upper()]
     except KeyError:
-        raise ConfigFileError(f"unknown DOF {name!r}") from None
+        raise ConfigurationError(f"unknown DOF {name!r}") from None
 
 
 def _replace_dataclass(obj, section, where: str):
     _check_keys(section, set(obj.__dataclass_fields__), where)
     values = {k: _coerce(v, getattr(obj, k), f"{where}.{k}") for k, v in section.items()}
-    try:
-        return replace(obj, **values)
-    except ValueError as exc:
-        raise ConfigFileError(f"bad value in {where}: {exc}") from exc
+    return replace(obj, **values)
 
 
 def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
     """Resolve a nested mapping (parsed YAML) into a CaseConfig, starting
     from the selected case's defaults."""
     _check_keys(raw, _TOP_KEYS, "configuration root")
-    case = raw.get("case")
-    if case not in CASE_IDS:
-        raise ConfigFileError(f"case must be one of {CASE_IDS}, got {case!r}")
-    try:
-        cfg = default_config(case, raw.get("estimator"))
-    except ValueError as exc:
-        raise ConfigFileError(str(exc)) from exc
+    cfg = default_config(raw.get("case"), raw.get("estimator"))
 
     top: dict[str, Any] = {}
     for key in ("dt", "t_end", "span", "seed", "mode"):
@@ -169,7 +168,7 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
         _check_keys(sec, {"modal", "x0", "x_hat0"}, "structure")
         if "modal" in sec:
             if not isinstance(sec["modal"], list):
-                raise ConfigFileError(f"structure.modal must be a list, got {sec['modal']!r}")
+                raise ConfigurationError(f"structure.modal must be a list, got {sec['modal']!r}")
             modal = []
             for entry in sec["modal"]:
                 _check_keys(
@@ -187,8 +186,8 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
                             },
                         )
                     )
-                except (KeyError, ValueError) as exc:
-                    raise ConfigFileError(f"bad modal entry: {exc}") from exc
+                except KeyError as exc:
+                    raise ConfigurationError(f"bad modal entry: missing {exc}") from exc
             top["modal"] = tuple(sorted(modal, key=lambda p: p.dof))
         if "x0" in sec:
             modal = top.get("modal", cfg.modal)
@@ -211,7 +210,7 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
             elif isinstance(val, list):
                 top["x_hat0"] = tuple(_coerce(v, 0.0, "structure.x_hat0 entry") for v in val)
             else:
-                raise ConfigFileError(f'structure.x_hat0 must be "truth" or a list, got {val!r}')
+                raise ConfigurationError(f'structure.x_hat0 must be "truth" or a list, got {val!r}')
 
     if "coupling" in raw:
         sec = raw["coupling"]
@@ -223,30 +222,25 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
             top["coupling"] = COUPLING_DIVERGENT
         elif variant == "custom":
             try:
-                top["coupling"] = CoupledSeMatrices(
-                    E_d=np.asarray(sec["E_d"], dtype=float),
-                    E_s=np.asarray(sec["E_s"], dtype=float),
-                )
+                E_d, E_s = (np.asarray(sec[k], dtype=float) for k in ("E_d", "E_s"))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigFileError(f"bad coupling matrices: {exc}") from exc
+                raise ConfigurationError(f"bad coupling matrices: {exc}") from exc
+            top["coupling"] = CoupledSeMatrices(E_d=E_d, E_s=E_s)
         else:
-            raise ConfigFileError(f"unknown coupling variant {variant!r}")
+            raise ConfigurationError(f"unknown coupling variant {variant!r}")
 
     for name in ("aero", "filter", "surrogate", "cosim"):
         if name in raw:
             top[name] = _replace_dataclass(getattr(cfg, name), raw[name], name)
 
-    try:
-        return replace(cfg, **top)
-    except ValueError as exc:
-        raise ConfigFileError(str(exc)) from exc
+    return replace(cfg, **top)
 
 
 def load_config(path: str | Path) -> CaseConfig:
     try:
         raw = yaml.load(Path(path).read_text(), Loader=_Loader)
     except OSError as exc:
-        raise ConfigFileError(f"cannot read {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigFileError(f"cannot parse {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     return config_from_dict(raw or {})

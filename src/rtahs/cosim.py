@@ -66,6 +66,9 @@ JOIN_TIMEOUT = 10.0  # seconds run_udp_pair waits for the surrogate thread
 # One byte past the longest frame: a longer datagram still reads longer
 # than any frame and fails decoding as a length error.
 RECV_BUFSIZE = MAX_FRAME_LEN + 1
+# The types of the frames with data blocks, looked up once.
+_MEASUREMENT = MsgType.MEASUREMENT
+_DATA = (_MEASUREMENT, MsgType.COMMAND)
 
 
 def _last_good_step(want_seq: int) -> Optional[int]:
@@ -94,8 +97,6 @@ class LossInjector:
     """Deterministic (seeded) Bernoulli packet suppression."""
 
     def __init__(self, rate: float, seed: int = 0):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"loss rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._rng = random.Random(seed)
 
@@ -126,6 +127,11 @@ def session_handshake(cfg: CaseConfig) -> Handshake:
         dof_mask=sum(1 << int(d) for d in set(cfg.dofs)),
         estimator_id=ESTIMATOR_IDS[cfg.estimator],
     )
+
+
+def _shutdown_frame(cfg: CaseConfig) -> Frame:
+    """The SHUTDOWN frame that ends a session of ``cfg``."""
+    return Frame(MsgType.SHUTDOWN, cfg.n_dofs, cfg.n_samples + 1, cfg.t_end)
 
 
 class RetransmitTimer:
@@ -163,6 +169,8 @@ class LockstepEndpoint:
 
     The socket stays blocking and never gets a timeout: :meth:`ready`
     waits, and the read that follows does not block.
+
+    The frame that a wait returns has passed :meth:`_checked`.
     """
 
     def __init__(
@@ -171,10 +179,12 @@ class LockstepEndpoint:
         peer: Optional[tuple[str, int]],
         timeout: float,
         max_retries: int,
+        dof_count: int,
         loss: Optional[LossInjector] = None,
     ):
         self.sock = sock
         self.peer = peer
+        self.dof_count = dof_count
         self.pinned = False
         self.source: Optional[tuple[str, int]] = None  # sender of the last frame
         self.timeout = timeout
@@ -191,6 +201,35 @@ class LockstepEndpoint:
             self.stats.lost += 1
             return
         self.sock.sendto(encode_frame(frame), self.peer)
+
+    def abort(self, bye: Frame) -> None:
+        """Send a pinned peer ``bye``, a SHUTDOWN, when this side fails
+        mid-session, so that the peer's wait fails at once on it.  It is
+        not resent, and a send error is suppressed: the failure that ended
+        the session is the one to report."""
+        if self.pinned:
+            with suppress(OSError):
+                self.send(bye)
+
+    def _checked(self, frame: Frame) -> Frame:
+        """``frame``, counted as received, unless it is a data frame that
+        lacks the session's ``dof_count`` or a block its type needs (both
+        on a MEASUREMENT, the displacements on a COMMAND): then a
+        SessionError that names the frame."""
+        mtype = frame.msg_type
+        if mtype in _DATA and (
+            frame.dof_count != self.dof_count
+            or frame.displacements is None
+            or frame.forces is None and mtype is _MEASUREMENT
+        ):
+            raise SessionError(
+                f"{mtype.name} seq {frame.seq} does not fit the {self.dof_count}-DOF session: "
+                f"dof_count {frame.dof_count}, forces {frame.forces}, "
+                f"displacements {frame.displacements}",
+                last_good_step=_last_good_step(frame.seq),
+            )
+        self.stats.received += 1
+        return frame
 
     def ready(self, timeout: float) -> bool:
         """Whether a datagram has come within ``timeout`` seconds.
@@ -283,8 +322,7 @@ class LockstepEndpoint:
             else:
                 if not resends:
                     self.timer.sample(clock() - start)
-                self.stats.received += 1
-                return frame
+                return self._checked(frame)
             # a wait of zero would not look at the socket
             remaining = max(expiry - clock(), 1e-6)
 
@@ -294,7 +332,8 @@ class LockstepEndpoint:
         """Send ``reply``, the answer to frame ``want_seq - 1`` (None
         before the handshake), and wait for frame ``want_seq`` of
         ``want_type``.  Frame ``want_seq - 1`` again means the reply was
-        lost: it is resent.  Every other frame is stale and dropped, and
+        lost: it is resent.  A SHUTDOWN from the pinned peer ends the
+        session at once, every other frame is stale and dropped, and
         ``max_timeouts`` silent waits of ``timeout`` end the session."""
         if reply is not None:
             self.send(reply)
@@ -312,10 +351,15 @@ class LockstepEndpoint:
                 self.stats.retries += 1
                 self.send(reply)
             elif frame.msg_type != want_type or frame.seq != want_seq:
+                if frame.msg_type is MsgType.SHUTDOWN and self.pinned:
+                    raise SessionError(
+                        f"unexpected SHUTDOWN seq {frame.seq} while waiting for "
+                        f"{want_type.name} seq {want_seq}",
+                        last_good_step=_last_good_step(want_seq),
+                    )
                 self.stats.stale += 1
             else:
-                self.stats.received += 1
-                return frame
+                return self._checked(frame)
 
 
 class EstimatorSession:
@@ -473,7 +517,7 @@ class NumericalServer:
             self.sock.close()
             raise
         self.endpoint = LockstepEndpoint(
-            self.sock, None, cfg.cosim.timeout, cfg.cosim.max_retries, loss
+            self.sock, None, cfg.cosim.timeout, cfg.cosim.max_retries, cfg.n_dofs, loss
         )
 
     @property
@@ -497,11 +541,7 @@ class NumericalServer:
                 exc.partial_series = self.session.series()
             raise
         except Exception:
-            cfg = self.cfg
-            if self.endpoint.pinned:
-                bye = Frame(MsgType.SHUTDOWN, cfg.n_dofs, cfg.n_samples + 1, cfg.t_end)
-                with suppress(OSError):  # the estimator's failure is the one to report
-                    self.endpoint.send(bye)
+            self.endpoint.abort(_shutdown_frame(self.cfg))
             raise
         finally:
             self.sock.close()
@@ -548,7 +588,7 @@ class SurrogateRunner:
         self.session = session
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.endpoint = LockstepEndpoint(
-            self.sock, connect, cfg.cosim.timeout, cfg.cosim.max_retries, loss
+            self.sock, connect, cfg.cosim.timeout, cfg.cosim.max_retries, cfg.n_dofs, loss
         )
 
     @property
@@ -556,6 +596,9 @@ class SurrogateRunner:
         return self.endpoint.stats
 
     def run(self) -> None:
+        """Run one session.  When the surrogate fails after the
+        handshake, the pinned peer is sent a SHUTDOWN before the socket
+        closes, as :meth:`NumericalServer.run` does."""
         cfg = self.cfg
         ep = self.endpoint
         n_samples, n_dofs = cfg.n_samples, cfg.n_dofs
@@ -574,21 +617,20 @@ class SurrogateRunner:
             sim_time=0.0,
             handshake=session_handshake(cfg),
         )
+        bye = _shutdown_frame(cfg)
         try:
             ep.request(hs, MsgType.HANDSHAKE, 0)
             ep.peer, ep.pinned = ep.source, True
             self.session.run(n_samples, n_dofs, exchange)
-
-            bye = Frame(
-                msg_type=MsgType.SHUTDOWN,
-                dof_count=n_dofs,
-                seq=n_samples + 1,
-                sim_time=cfg.t_end,
-            )
             try:
                 ep.request(bye, MsgType.SHUTDOWN, n_samples + 1)
             except SessionError:
                 pass  # shutdown ack lost; loop already complete
+        except SessionError:
+            raise
+        except Exception:
+            ep.abort(bye)
+            raise
         finally:
             self.sock.close()
 

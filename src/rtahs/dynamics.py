@@ -19,7 +19,9 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent system description (e.g. duplicate DOF entries)."""
+    """A configuration value that breaks a rule, raised by the
+    ``__post_init__`` of the value type that holds the rule, or a config
+    file in the wrong format (:mod:`rtahs.config`)."""
 
 
 class DofId(IntEnum):
@@ -51,11 +53,11 @@ class ModalParams:
 
     def __post_init__(self):
         if not self.inertia > 0:
-            raise ValueError(f"inertia must be positive, got {self.inertia}")
+            raise ConfigurationError(f"inertia must be positive, got {self.inertia}")
         if not self.circ_freq > 0:
-            raise ValueError(f"circ_freq must be positive, got {self.circ_freq}")
+            raise ConfigurationError(f"circ_freq must be positive, got {self.circ_freq}")
         if self.damping_ratio < 0:
-            raise ValueError(f"damping_ratio must be >= 0, got {self.damping_ratio}")
+            raise ConfigurationError(f"damping_ratio must be >= 0, got {self.damping_ratio}")
 
     @property
     def damping_coeff(self) -> float:

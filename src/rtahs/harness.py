@@ -29,6 +29,7 @@ from .cosim import (
     run_in_process,
     run_udp_pair,
 )
+from .dynamics import ConfigurationError
 from .estimators import FilterNumericalError
 from .integrators import IntegrationError, TimeSeries, simulate
 from .metrics import ComparisonMetrics, compare_series
@@ -83,17 +84,17 @@ def build_surrogate_session(cfg: CaseConfig) -> SurrogateSession:
 
 
 @contextmanager
-def numerical_failure_as_session_error(est: EstimatorSession):
+def numerical_failure_as_session_error(est: Optional[EstimatorSession] = None):
     """Re-raise a filter or integrator failure inside the block as a
     SessionError chained to it, with the estimator's series up to its
-    last good step."""
+    last good step when ``est`` is given."""
     try:
         yield
     except (FilterNumericalError, IntegrationError) as exc:
-        partial = est.series()
+        partial = est.series() if est is not None else None
         raise SessionError(
             f"numerical failure: {exc}",
-            last_good_step=len(partial) - 1 if len(partial) else None,
+            last_good_step=len(partial) - 1 if partial else None,
             partial_series=partial,
         ) from exc
 
@@ -162,11 +163,14 @@ def run_delay_study(
     With ``compare_adaptation_off`` an AEKF study gets an extra row per
     nonzero delay that runs the EKF, the same filter without covariance
     matching, against the same reference, quantifying what the
-    adaptation buys under delay.
+    adaptation buys under delay; the KF and the EKF have none to switch
+    off.  Every run's config is checked before the first run.
     """
-    for tau in taus:
-        if tau < 0:
-            raise ValueError(f"delay must be >= 0, got {tau}")
+    if compare_adaptation_off and cfg.estimator != "aekf":
+        raise ConfigurationError(
+            f"--compare-adaptation-off needs estimator aekf; {cfg.estimator} does not adapt"
+        )
+    run_cfgs = [replace(cfg, surrogate=replace(cfg.surrogate, delay_tau=tau)) for tau in taus]
     base_cfg = replace(cfg, surrogate=replace(cfg.surrogate, delay_tau=0.0))
     reference, _, _, _ = run_loop(base_cfg)
 
@@ -179,10 +183,9 @@ def run_delay_study(
         return DelayStudyRow(run_cfg.surrogate.delay_tau, metrics, run_cfg.estimator == "aekf")
 
     rows = []
-    for tau in taus:
-        run_cfg = replace(cfg, surrogate=replace(cfg.surrogate, delay_tau=tau))
+    for run_cfg in run_cfgs:
         rows.append(one_run(run_cfg))
-        if compare_adaptation_off and tau > 0 and cfg.estimator == "aekf":
+        if compare_adaptation_off and run_cfg.surrogate.delay_tau > 0:
             rows.append(one_run(replace(run_cfg, estimator="ekf")))
     return rows
 

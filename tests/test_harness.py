@@ -12,11 +12,12 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from rtahs.cases import CosimSettings, default_config
+from rtahs.cases import default_config
 import rtahs.config
 from rtahs import cosim, harness
 from rtahs.cli import main
-from rtahs.config import ConfigFileError, config_from_dict, load_config
+from rtahs.config import config_from_dict, load_config
+from rtahs.dynamics import ConfigurationError
 from rtahs.estimators import FilterNumericalError
 from rtahs.harness import (
     FLOAT_FMT,
@@ -52,6 +53,19 @@ surrogate: {disp_noise_std: 0.0, force_noise_std: 0.0}
 
 def short_cfg(case="case1-linear", **over):
     return default_config(case, t_end=1.0, **over)
+
+
+def fail_on_51st_advance():
+    """A ``SurrogateSession.advance`` whose truth fails on its 51st call,
+    after step 50 has been exchanged."""
+    calls = []
+
+    def failing_advance(self):
+        calls.append(1)
+        if len(calls) == 51:
+            raise IntegrationError("non-finite state")
+
+    return failing_advance
 
 
 class TestRunCase:
@@ -128,21 +142,29 @@ class TestRunCase:
     @pytest.mark.parametrize("mode", ["in-process", "udp"])
     def test_truth_failure_is_a_session_error_with_the_partial_series(self, monkeypatch, mode):
         # the surrogate's truth fails on its 51st advance, after step 50
-        # has been exchanged; in UDP mode the server then hears nothing
-        calls = []
+        # has been exchanged; in UDP mode the surrogate then sends its
+        # pinned peer a SHUTDOWN, so the server fails on that frame at
+        # once and never waits out its silence budget
+        servers = []
 
-        def failing_advance(self):
-            calls.append(1)
-            if len(calls) == 51:
-                raise IntegrationError("non-finite state")
+        class RecordedServer(cosim.NumericalServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                servers.append(self)
 
-        monkeypatch.setattr(cosim.SurrogateSession, "advance", failing_advance)
-        cfg = short_cfg(mode=mode, cosim=CosimSettings(timeout=0.02, max_retries=1))
+        monkeypatch.setattr(cosim, "NumericalServer", RecordedServer)
+        monkeypatch.setattr(cosim.SurrogateSession, "advance", fail_on_51st_advance())
         with pytest.raises(cosim.SessionError, match="non-finite state") as err:
-            run_loop(cfg)
+            run_loop(short_cfg(mode=mode))
         assert isinstance(err.value.__cause__, IntegrationError)
         assert err.value.last_good_step == 50
         assert len(err.value.partial_series) == 51
+        if mode == "udp":
+            (server,) = servers
+            assert server.stats.timeouts == 0
+            assert "unexpected SHUTDOWN seq 1002 while waiting for MEASUREMENT seq 52" in str(
+                err.value.__cause__.__cause__
+            )
 
 
 class TestOneStepperPerCase:
@@ -277,8 +299,10 @@ class TestDelayStudy:
         # the KF and the EKF never adapt, so no row of theirs reads
         # adaptation, and there is no adaptation to switch off
         cfg = default_config(case, t_end=0.5)
-        rows = run_delay_study(cfg, [0.0, 0.01], compare_adaptation_off=True)
+        rows = run_delay_study(cfg, [0.0, 0.01])
         assert [(r.tau, r.adaptation) for r in rows] == [(0.0, False), (0.01, False)]
+        with pytest.raises(ConfigurationError, match=f"{cfg.estimator} does not adapt"):
+            run_delay_study(cfg, [0.0, 0.01], compare_adaptation_off=True)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
@@ -374,13 +398,13 @@ class TestConfigFiles:
         assert replace(cfg, coupling=None) == default_config("case1-linear")
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigurationError):
             config_from_dict({"case": "case1-linear", "bogus": 1})
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigurationError):
             config_from_dict({"case": "case1-linear", "filter": {"nope": 2}})
 
     def test_unknown_case_rejected(self):
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigurationError):
             config_from_dict({"case": "case9"})
 
     def test_shipped_config_files_load(self):
@@ -402,9 +426,9 @@ class TestConfigFiles:
             assert cfg == expected, name
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigurationError):
             config_from_dict({"case": "case1-linear", "dt": -1.0})
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigurationError):
             config_from_dict(
                 {
                     "case": "case1-linear",
@@ -449,8 +473,17 @@ class TestConfigFiles:
             {"filter": {"jacobian": "numeric"}},
             {"filter": {"q_update_form": "residual"}},
             {"filter": {"forgetting_factor": 1.0}},
+            {"surrogate": {"kind": "foo"}},
+            {"structure": {"x_hat0": [0.01]}},
+            {"t_end": float("inf")},
+            {"t_end": 1e7},  # SHUTDOWN's seq n_samples + 1 past the uint32
+            {"surrogate": {"delay_tau": 50.001}},
+            {"surrogate": {"delay_tau": float("inf")}},
+            {"cosim": {"timeout": float("inf")}},
+            {"cosim": {"timeout": 1e12}},
+            {"seed": -1},
         ):
-            with pytest.raises(ConfigFileError):
+            with pytest.raises(ConfigurationError):
                 config_from_dict({"case": "case1-linear", **bad})
 
 
@@ -497,6 +530,17 @@ class TestCaseConfigValidation:
     def test_ic_length_mismatch(self):
         with pytest.raises(ValueError):
             replace(default_config("case2dof"), x0_disp=(0.01,))
+
+    def test_case2dof_needs_coupling(self):
+        with pytest.raises(ConfigurationError, match="coupling"):
+            default_config("case2dof", coupling=None)
+
+    def test_sample_count_limit_of_the_wire(self):
+        # n_samples + 1, the SHUTDOWN frame's seq, must fit a uint32
+        cfg = default_config("case1-linear", dt=1.0, t_end=2.0**32 - 3)
+        assert cfg.n_samples + 1 == 2**32 - 1
+        with pytest.raises(ConfigurationError):
+            replace(cfg, t_end=2.0**32 - 2)
 
 
 class TestCli:
@@ -569,6 +613,14 @@ class TestCli:
         finally:
             busy.close()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--delay", "1e300"]])
+    def test_value_past_its_rule_exit_code(self, tmp_path, capsys, flags):
+        # each passed every check once and then overflowed with a traceback
+        out = tmp_path / "out"
+        assert main(["run", "--case", "case1-linear", *flags, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_session_error_exit_code(self, tmp_path):
         # the surrogate endpoint pointed at a dead port gives up after
@@ -785,6 +837,20 @@ class TestCli:
         assert (served / "rtahs.partial.csv").read_bytes() == (
             run / "rtahs.partial.csv"
         ).read_bytes()
+
+    def test_physical_truth_failure_exit_codes(self, tmp_path, monkeypatch, capsys):
+        # physical's truth fails after step 50: physical sends serve a
+        # SHUTDOWN, and both exit 3 with a message that names the failure
+        monkeypatch.setattr(cosim.SurrogateSession, "advance", fail_on_51st_advance())
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text("case: case1-linear\nt_end: 0.5\n")
+        assert self.serve_and_physical(tmp_path, monkeypatch, cfgfile) == {
+            "serve": 3, "physical": 3
+        }
+        err = capsys.readouterr().err
+        assert "session error: numerical failure: non-finite state" in err
+        assert "session error: unexpected SHUTDOWN seq 502 while waiting for MEASUREMENT seq 52" in err
+        assert len(read_series(tmp_path / "serve" / "rtahs.partial.csv")) == 51
 
     def test_serve_and_physical_give_the_run_trajectory(self, tmp_path, monkeypatch):
         # the two-process deployment, one endpoint per CLI call on its own
