@@ -146,12 +146,6 @@ def _parse_dof(name: str) -> DofId:
         raise ConfigurationError(f"unknown DOF {name!r}") from None
 
 
-def _replace_dataclass(obj, section, where: str):
-    _check_keys(section, set(obj.__dataclass_fields__), where)
-    values = {k: _coerce(v, getattr(obj, k), f"{where}.{k}") for k, v in section.items()}
-    return replace(obj, **values)
-
-
 def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
     """Resolve a nested mapping (parsed YAML) into a CaseConfig, starting
     from the selected case's defaults."""
@@ -231,7 +225,10 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
 
     for name in ("aero", "filter", "surrogate", "cosim"):
         if name in raw:
-            top[name] = _replace_dataclass(getattr(cfg, name), raw[name], name)
+            sec, obj = raw[name], getattr(cfg, name)
+            _check_keys(sec, set(obj.__dataclass_fields__), name)
+            values = {k: _coerce(v, getattr(obj, k), f"{name}.{k}") for k, v in sec.items()}
+            top[name] = replace(obj, **values)
 
     return replace(cfg, **top)
 
