@@ -125,8 +125,9 @@ class SurrogateSettings:
         if self.kind not in ("integrator", "echo"):
             raise ConfigurationError(f"unknown surrogate kind {self.kind!r}")
         for name in ("disp_noise_std", "force_noise_std", "delay_tau"):
-            if not getattr(self, name) >= 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def default_config(case: str, estimator: Optional[str] = None, **overrides) -> C
         var = 1e-5 if linear else 1e-8
         cfg = CaseConfig(
             case=case,
-            estimator=estimator or ("kf" if linear else "ekf"),
+            estimator=("kf" if linear else "ekf") if estimator is None else estimator,
             modal=_case1_modal(),
             aero=_case1_aero(),
             t_end=50.0,
@@ -265,7 +266,7 @@ def default_config(case: str, estimator: Optional[str] = None, **overrides) -> C
     else:
         cfg = CaseConfig(
             case=case,
-            estimator=estimator or "aekf",
+            estimator="aekf" if estimator is None else estimator,
             modal=_case2dof_modal(),
             aero=_case1_aero(),  # geometry only; forces come from the coupling matrices
             t_end=20.0,

@@ -15,15 +15,15 @@ rule, raises :class:`~rtahs.dynamics.ConfigurationError`:
   so that the SHUTDOWN frame's seq ``n_samples + 1`` fits the wire's
   uint32; ``surrogate.delay_tau <= t_end``; ``seed >= 0``; two
   ``x_hat0`` entries per DOF;
-* ``ModalParams``: ``inertia`` and ``circ_freq`` positive,
-  ``damping_ratio >= 0``;
+* ``ModalParams``: ``inertia`` and ``circ_freq`` finite and positive,
+  ``damping_ratio`` finite and ``>= 0``;
 * ``AeroParams``: ``rho``, ``U`` and ``D`` positive;
 * ``CoupledSeMatrices``: ``E_d`` and ``E_s`` finite and 2x2;
 * ``FilterSettings``: ``p0`` and ``process_var`` finite and
   non-negative, ``meas_var`` finite and positive,
   ``forgetting_factor`` in (0, 1);
 * ``SurrogateSettings``: ``kind`` integrator or echo, the noise scales
-  and ``delay_tau`` non-negative;
+  and ``delay_tau`` finite and non-negative;
 * ``CosimSettings``: ``timeout`` in (0, 1e9] s (``select`` overflows
   past about 9.2e9 s), ``max_retries >= 0``, ``loss_rate`` in [0, 1).
 
@@ -150,6 +150,8 @@ def config_from_dict(raw: dict[str, Any]) -> CaseConfig:
     """Resolve a nested mapping (parsed YAML) into a CaseConfig, starting
     from the selected case's defaults."""
     _check_keys(raw, _TOP_KEYS, "configuration root")
+    if "estimator" in raw:  # ``estimator: null`` is not the case's default
+        _coerce(raw["estimator"], "", "estimator")
     cfg = default_config(raw.get("case"), raw.get("estimator"))
 
     top: dict[str, Any] = {}

@@ -51,15 +51,17 @@ from .wire import (
     encode_frame,
 )
 
-# Floor of the retransmission timeout: half of the shipped dt = 1 ms, so
-# a lost datagram is resent inside the step budget.  On the 1%-loss
-# case1-linear UDP loop (10 ms timeout, 30-s runs pinned to one CPU of a
-# 2-vCPU VM, ten alternating pairs) the step p99 read 2,404 us with a
-# 2 ms floor and 772 us with this one.  A timer due before the 4 ms
-# kernel tick costs a wait about 10 us there (tools/wait_cost.py), so a
-# lossy endpoint yields to its peer before it arms one
-# (``LockstepEndpoint.ready``).
-RTO_MIN = 0.0005
+# RFC 6298's clock granularity G: the retransmission timeout is
+# srtt + max(G, 4 rttvar), so it never comes within G of the smoothed
+# round trip.  G is about the p99 of a clean exchange with both
+# endpoints pinned to one CPU of a 2-vCPU VM (about 110 us traced), jitter
+# that the smoothed rttvar misses.  On the 1%-loss case1-linear UDP loop
+# (10 ms timeout, 30-s runs pinned to one CPU, ten alternating pairs)
+# the step p99 read 674 us with an absolute 0.5 ms floor in place of G
+# and 273 us with G.  A timer due before the 4 ms kernel tick costs a
+# wait about 10 us there (tools/wait_cost.py), so a lossy endpoint
+# yields to its peer before it arms one (``LockstepEndpoint.ready``).
+RTO_MARGIN = 0.0001
 RTT_ALPHA = 1 / 8  # gain of the smoothed round trip (RFC 6298)
 RTT_BETA = 1 / 4  # gain of its mean deviation
 JOIN_TIMEOUT = 10.0  # seconds run_udp_pair waits for the surrogate thread
@@ -139,8 +141,11 @@ class RetransmitTimer:
     1988, RFC 6298).
 
     ``rto`` is ``ceiling`` until the first sample, then
-    ``srtt + 4 * rttvar`` clamped to ``[RTO_MIN, ceiling]``.  An expired
-    wait backs it off until the next sample (RFC 6298 sections 5.5-5.7).
+    ``srtt + max(RTO_MARGIN, 4 * rttvar)`` capped at ``ceiling`` (RFC
+    6298 section 2.3, with ``RTO_MARGIN`` as G).  There is no absolute
+    floor: the timeout follows the round trip down, and stays at least
+    ``RTO_MARGIN`` above it.  An expired wait backs it off until the
+    next sample (RFC 6298 sections 5.5-5.7).
     """
 
     def __init__(self, ceiling: float):
@@ -155,7 +160,7 @@ class RetransmitTimer:
         else:
             self.rttvar = (1 - RTT_BETA) * self.rttvar + RTT_BETA * abs(self.srtt - rtt)
             self.srtt = (1 - RTT_ALPHA) * self.srtt + RTT_ALPHA * rtt
-        self.rto = min(max(self.srtt + 4 * self.rttvar, RTO_MIN), self.ceiling)
+        self.rto = min(self.srtt + max(RTO_MARGIN, 4 * self.rttvar), self.ceiling)
 
 
 class LockstepEndpoint:
@@ -285,10 +290,12 @@ class LockstepEndpoint:
         (:meth:`ready`).  The request fails only when no reply has come
         within ``(max_retries + 1) * timeout`` of the first send.  A reply
         to a frame that was never resent is a round-trip sample (Karn's
-        rule), and only a sample undoes the backoff."""
+        rule), and only a sample undoes the backoff.  The sample and the
+        first wait are timed from before the send: a peer on the same CPU
+        may run its whole step inside ``sendto``."""
         clock = self.clock
-        self.send(outbound)
         start = clock()
+        self.send(outbound)
         budget = (self.max_retries + 1) * self.timeout
         deadline = start + budget
         wait = self.timer.rto if self.lossy else self.timeout

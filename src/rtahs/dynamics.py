@@ -52,12 +52,14 @@ class ModalParams:
     circ_freq: float
 
     def __post_init__(self):
-        if not self.inertia > 0:
-            raise ConfigurationError(f"inertia must be positive, got {self.inertia}")
-        if not self.circ_freq > 0:
-            raise ConfigurationError(f"circ_freq must be positive, got {self.circ_freq}")
-        if self.damping_ratio < 0:
-            raise ConfigurationError(f"damping_ratio must be >= 0, got {self.damping_ratio}")
+        for name in ("inertia", "circ_freq"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.damping_ratio) and self.damping_ratio >= 0):
+            raise ConfigurationError(
+                f"damping_ratio must be finite and >= 0, got {self.damping_ratio}"
+            )
 
     @property
     def damping_coeff(self) -> float:

@@ -18,7 +18,7 @@ from rtahs.cases import EchoGenerator, SurrogateSettings, default_config
 from rtahs import cosim, harness
 from rtahs.cosim import (
     RECV_BUFSIZE,
-    RTO_MIN,
+    RTO_MARGIN,
     LockstepEndpoint,
     LossInjector,
     NumericalServer,
@@ -765,6 +765,18 @@ class FakeLink:
         return self.inbox.pop(0)[1], self.PEER
 
 
+class SameCpuLink(FakeLink):
+    """A peer on the same CPU: the frame wakes it inside ``sendto``, and
+    it runs its whole step, ``rtt``, before the send returns with the
+    reply queued."""
+
+    def sendto(self, data: bytes, addr) -> None:
+        answered = len(self.sends) not in self.drop
+        super().sendto(data, addr)
+        if answered:
+            self.now += self.rtt
+
+
 class VanishingLink(FakeLink):
     """Reports a datagram ``after`` seconds into the first wait that the
     read then finds gone, as when the kernel drops it in between."""
@@ -786,9 +798,10 @@ def measurement(seq: int) -> Frame:
 
 
 class TestRetransmitTimer:
-    # Round trips and waits are fractions of the floor, so each test keeps
-    # its shape whatever the floor is; a first sample R gives 3 R.
-    RTT = RTO_MIN / 4
+    # Round trips are fractions of the margin G, so each test keeps its
+    # shape whatever G is.  A first sample R gives R + max(G, 2 R): RTT
+    # gives RTT + G.
+    RTT = RTO_MARGIN / 4
 
     def test_rfc6298_arithmetic(self):
         timer = RetransmitTimer(1.0)
@@ -801,11 +814,23 @@ class TestRetransmitTimer:
         assert timer.srtt == pytest.approx(0.875 * 0.010 + 0.125 * 0.002)
         assert timer.rto == pytest.approx(timer.srtt + 4 * timer.rttvar)
 
-    def test_rto_is_clamped_to_the_floor_and_the_timeout(self):
-        fast, slow = RetransmitTimer(0.1), RetransmitTimer(0.1)
-        fast.sample(1e-4)
-        slow.sample(0.05)
-        assert fast.rto == RTO_MIN and slow.rto == 0.1
+    def test_rto_is_srtt_plus_the_larger_of_the_margin_and_4_rttvar(self):
+        # RFC 6298 2.3: RTO = SRTT + max(G, 4 RTTVAR), capped at the timeout
+        small, large, slow = RetransmitTimer(0.1), RetransmitTimer(0.1), RetransmitTimer(0.1)
+        small.sample(self.RTT)  # 4 RTTVAR = G / 2: the margin binds
+        assert small.rto == pytest.approx(self.RTT + RTO_MARGIN)
+        large.sample(2 * RTO_MARGIN)  # 4 RTTVAR = 4 G
+        assert large.rto == pytest.approx(6 * RTO_MARGIN)
+        slow.sample(0.05)  # 0.05 + 0.1 s, past the timeout
+        assert slow.rto == 0.1
+
+    def test_steady_round_trip_converges_to_srtt_plus_the_margin(self):
+        # no absolute floor: the timeout follows a steady round trip down
+        timer = RetransmitTimer(0.1)
+        for _ in range(100):
+            timer.sample(self.RTT)
+        assert timer.srtt == pytest.approx(self.RTT)
+        assert timer.rto == pytest.approx(self.RTT + RTO_MARGIN)
 
     def endpoint(self, link: FakeLink, timeout=0.1, max_retries=3) -> LockstepEndpoint:
         ep = LockstepEndpoint(link, link.PEER, timeout, max_retries, dof_count=1)
@@ -823,11 +848,27 @@ class TestRetransmitTimer:
         link = FakeLink(rtt=self.RTT, drop={1})
         ep = self.endpoint(link)
         ep.request(measurement(1), MsgType.COMMAND, 1)
-        assert ep.timer.rto == RTO_MIN and not ep.lossy
+        assert ep.timer.rto == pytest.approx(self.RTT + RTO_MARGIN) and not ep.lossy
         start = link.now
         ep.request(measurement(2), MsgType.COMMAND, 2)
         assert link.sends[2] - start == pytest.approx(0.1)
         assert ep.lossy
+
+    def test_round_trip_is_timed_from_the_send(self):
+        # a peer on the same CPU answers inside ``sendto``: a sample
+        # taken after the send would read about 0
+        link = SameCpuLink(rtt=self.RTT, drop={2})
+        ep = self.endpoint(link)
+        ep.request(measurement(1), MsgType.COMMAND, 1)
+        assert link.now == pytest.approx(self.RTT)
+        assert ep.timer.srtt == pytest.approx(self.RTT)
+        assert ep.timer.rto == pytest.approx(self.RTT + RTO_MARGIN)
+        ep.lossy = True
+        ep.request(measurement(2), MsgType.COMMAND, 2)
+        start = link.now
+        ep.request(measurement(3), MsgType.COMMAND, 3)  # lost, resent one estimate on
+        assert link.sends[2] == start
+        assert link.sends[3] - start == pytest.approx(self.RTT + RTO_MARGIN)
 
     def lossy_endpoint(self, link: FakeLink, **kwargs) -> LockstepEndpoint:
         """An endpoint whose first exchange lost its first frame and whose
@@ -840,25 +881,26 @@ class TestRetransmitTimer:
         return ep
 
     def test_karn_rule_and_resend_at_the_estimate(self):
-        link = FakeLink(rtt=0.3 * RTO_MIN, drop={3})
+        link = FakeLink(rtt=0.3 * RTO_MARGIN, drop={3})
         ep = self.lossy_endpoint(link)
-        assert ep.timer.rto == RTO_MIN
+        rto = ep.timer.rto
+        assert rto == pytest.approx(1.3 * RTO_MARGIN)
         start, waits = link.now, len(link.timeouts)
         ep.request(measurement(3), MsgType.COMMAND, 3)  # resent: no sample
-        assert link.timeouts[waits] == RTO_MIN  # exactly the estimate
-        assert link.sends[4] - start == pytest.approx(RTO_MIN)
-        assert ep.timer.srtt == pytest.approx(0.3 * RTO_MIN) and ep.stats.retries == 2
-        link.rtt = RTO_MIN / 2
+        assert link.timeouts[waits] == rto  # exactly the estimate
+        assert link.sends[4] - start == pytest.approx(rto)
+        assert ep.timer.srtt == pytest.approx(0.3 * RTO_MARGIN) and ep.stats.retries == 2
+        link.rtt = RTO_MARGIN / 2
         ep.request(measurement(4), MsgType.COMMAND, 4)  # clean again
-        assert ep.timer.srtt == pytest.approx((0.875 * 0.3 + 0.125 * 0.5) * RTO_MIN)
+        assert ep.timer.srtt == pytest.approx((0.875 * 0.3 + 0.125 * 0.5) * RTO_MARGIN)
 
     def test_backoff_doubles_to_the_timeout_until_the_budget_is_spent(self):
         link = FakeLink(rtt=self.RTT, drop=set(range(3, 100)))
         ep = self.lossy_endpoint(link, timeout=0.1, max_retries=3)
         start = link.now
-        # from the floor the waits double up to the 100 ms timeout, and a
-        # frame is resent whenever a wait ends inside the 400 ms budget
-        gaps, wait = [], RTO_MIN
+        # from the estimate the waits double up to the 100 ms timeout, and
+        # a frame is resent whenever a wait ends inside the 400 ms budget
+        gaps, wait = [], ep.timer.rto
         while sum(gaps) + wait < 0.4:
             gaps.append(wait)
             wait = min(2 * wait, 0.1)
@@ -870,25 +912,26 @@ class TestRetransmitTimer:
     def test_next_exchange_keeps_the_backed_off_timeout(self):
         link = FakeLink(rtt=self.RTT, drop={3, 4, 5})
         ep = self.lossy_endpoint(link)
-        ep.request(measurement(3), MsgType.COMMAND, 3)  # waits 1, 2 and 4 floors
-        assert ep.timer.rto == pytest.approx(8 * RTO_MIN)
+        rto = ep.timer.rto
+        ep.request(measurement(3), MsgType.COMMAND, 3)  # waits 1, 2 and 4 estimates
+        assert ep.timer.rto == pytest.approx(8 * rto)
         start = link.now
         link.drop = {7}
         ep.request(measurement(4), MsgType.COMMAND, 4)
-        assert link.sends[8] - start == pytest.approx(8 * RTO_MIN)
+        assert link.sends[8] - start == pytest.approx(8 * rto)
 
-    def test_round_trip_above_the_floor_is_resent_early_only_once(self):
+    def test_round_trip_above_the_estimate_is_resent_early_only_once(self):
         # RFC 6298 5.5-5.7: the backed-off timeout holds until a reply to
         # a frame that was not resent gives a sample.  Starting each
-        # exchange again from the floor would resend every one.
+        # exchange again from the estimate would resend every one.
         link = FakeLink(rtt=self.RTT)
         ep = self.lossy_endpoint(link)
-        assert ep.timer.rto == RTO_MIN
-        link.rtt = 1.5 * RTO_MIN
+        assert ep.timer.rto == pytest.approx(self.RTT + RTO_MARGIN)
+        link.rtt = 1.5 * ep.timer.rto
         for seq in range(3, 13):
             ep.request(measurement(seq), MsgType.COMMAND, seq)
         assert ep.stats.retries == 2  # the lost first frame, then seq 3 once
-        assert ep.timer.rto > 1.5 * RTO_MIN
+        assert ep.timer.rto > link.rtt
 
     def test_datagram_gone_before_the_read_ends_the_wait_on_its_deadline(self):
         link = VanishingLink(after=0.01)

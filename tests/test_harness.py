@@ -32,6 +32,9 @@ from rtahs.harness import (
 )
 from rtahs.integrators import IntegrationError, TimeSeries
 
+# The shipped case1 heave mode as a config-file modal entry.
+HEAVE = {"dof": "heave", "inertia": 182.178, "damping_ratio": 0.005, "circ_freq": 17.64}
+
 # A heave force of 2000 times the heave velocity, a negative damping
 # thousands of times the structure's, pumps the heave mode until the
 # AEKF's innovation covariance turns singular at step 1058 of 1501.
@@ -482,6 +485,15 @@ class TestConfigFiles:
             {"cosim": {"timeout": float("inf")}},
             {"cosim": {"timeout": 1e12}},
             {"seed": -1},
+            {"structure": {"modal": [{**HEAVE, "inertia": float("inf")}]}},
+            {"structure": {"modal": [{**HEAVE, "circ_freq": float("inf")}]}},
+            {"structure": {"modal": [{**HEAVE, "damping_ratio": float("inf")}]}},
+            {"surrogate": {"force_noise_std": float("inf")}},
+            {"surrogate": {"disp_noise_std": float("inf")}},
+            {"estimator": False},
+            {"estimator": 0},
+            {"estimator": ""},
+            {"estimator": None},
         ):
             with pytest.raises(ConfigurationError):
                 config_from_dict({"case": "case1-linear", **bad})
@@ -619,6 +631,29 @@ class TestCli:
         # each passed every check once and then overflowed with a traceback
         out = tmp_path / "out"
         assert main(["run", "--case", "case1-linear", *flags, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "estimator: false",
+            "estimator: 0",
+            'estimator: ""',
+            "estimator: null",
+            "surrogate: {force_noise_std: .inf}",
+            "structure: {modal: [{dof: heave, inertia: .inf, damping_ratio: 0.005, circ_freq: 17.64}]}",
+        ],
+        ids=["estimator-false", "estimator-0", "estimator-empty", "estimator-null",
+             "force-noise-inf", "inertia-inf"],
+    )
+    def test_config_value_the_run_cannot_use_exit_code(self, tmp_path, capsys, line):
+        # each ran once: the estimator ones with the default filter (exit
+        # 0), the infinite ones into a non-finite state (exit 3)
+        cfgfile = tmp_path / "c.yaml"
+        cfgfile.write_text(f"case: case1-linear\nt_end: 0.1\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from rtahs.cosim import RTO_MARGIN
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -16,11 +18,12 @@ def test_a_few_hundred_round_trips_per_wait():
         check=True,
     )
     lines = proc.stdout.splitlines()
-    assert re.fullmatch(r"CPU \d+, 300 round trips per wait, short wait 0\.5 ms", lines[0])
+    short = f"{RTO_MARGIN * 1e3:g} ms"
+    assert re.fullmatch(rf"CPU \d+, 300 round trips per wait, short wait {re.escape(short)}", lines[0])
     assert lines[1].split() == ["wait", "p50_us", "p99_us", "timed"]
     number = r"\s+(\d+\.\d)"
     timed = []
-    for line, name in zip(lines[2:], ("select 1 s", "select 0.5 ms", "yield + 0.5 ms")):
+    for line, name in zip(lines[2:], ("select 1 s", f"select {short}", f"yield + {short}")):
         m = re.fullmatch(rf"{re.escape(name)}{number * 2}\s+(\d+\.\d)%", line)
         assert m, line
         p50, p99, share = map(float, m.groups())

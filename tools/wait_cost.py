@@ -11,11 +11,14 @@ thread waits, and no wait sleeps.  The pinging thread sends, then waits
 for the echo in one of three ways:
 
 * ``select 1 s``: one ``select`` whose timeout is far past the kernel tick;
-* ``select 0.5 ms``: one ``select`` of the retransmission-timeout floor
-  ``RTO_MIN``, shorter than the kernel tick;
-* ``yield + 0.5 ms``: ``os.sched_yield``, a ``select`` that does not
-  wait, and the 0.5 ms ``select`` only if nothing has come, as a lossy
+* ``select G ms``: one ``select`` of ``RTO_MARGIN``, the margin G of the
+  retransmission timeout over the smoothed round trip, shorter than the
+  kernel tick;
+* ``yield + G ms``: ``os.sched_yield``, a ``select`` that does not
+  wait, and the G ms ``select`` only if nothing has come, as a lossy
   ``LockstepEndpoint`` waits.
+
+The labels print G in milliseconds.
 
 A wait that ends with nothing queued is repeated, so every round trip
 ends with its echo.  The three waits take turns in 5 rounds of N / 5
@@ -38,7 +41,7 @@ from pathlib import Path
 from statistics import quantiles
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from rtahs.cosim import RTO_MIN  # noqa: E402
+from rtahs.cosim import RTO_MARGIN  # noqa: E402
 
 ROUNDS = 5
 WARMUP = 200
@@ -55,7 +58,7 @@ def wait_long(sock: socket.socket) -> bool:
 
 
 def wait_short(sock: socket.socket) -> bool:
-    select.select((sock,), (), (), RTO_MIN)
+    select.select((sock,), (), (), RTO_MARGIN)
     return True
 
 
@@ -63,11 +66,12 @@ def wait_yield(sock: socket.socket) -> bool:
     os.sched_yield()
     if select.select((sock,), (), (), 0.0)[0]:
         return False
-    select.select((sock,), (), (), RTO_MIN)
+    select.select((sock,), (), (), RTO_MARGIN)
     return True
 
 
-WAITS = (("select 1 s", wait_long), ("select 0.5 ms", wait_short), ("yield + 0.5 ms", wait_yield))
+SHORT = f"{RTO_MARGIN * 1e3:g} ms"
+WAITS = (("select 1 s", wait_long), (f"select {SHORT}", wait_short), (f"yield + {SHORT}", wait_yield))
 
 
 def echo(sock: socket.socket) -> None:
@@ -135,7 +139,7 @@ def main(argv=None) -> int:
         return 1
 
     n = per_round * ROUNDS
-    print(f"CPU {cpu}, {n} round trips per wait, short wait {RTO_MIN * 1e3:g} ms")
+    print(f"CPU {cpu}, {n} round trips per wait, short wait {SHORT}")
     print(f"{'wait':<16} {'p50_us':>8} {'p99_us':>8} {'timed':>7}")
     for name, rtts in samples.items():
         cuts = quantiles(rtts, n=100, method="inclusive")
