@@ -53,15 +53,19 @@ from .wire import (
 
 # RFC 6298's clock granularity G: the retransmission timeout is
 # srtt + max(G, 4 rttvar), so it never comes within G of the smoothed
-# round trip.  G is about the p99 of a clean exchange with both
-# endpoints pinned to one CPU of a 2-vCPU VM (about 110 us traced), jitter
-# that the smoothed rttvar misses.  On the 1%-loss case1-linear UDP loop
-# (10 ms timeout, 30-s runs pinned to one CPU, ten alternating pairs)
-# the step p99 read 674 us with an absolute 0.5 ms floor in place of G
-# and 273 us with G.  A timer due before the 4 ms kernel tick costs a
-# wait about 10 us there (tools/wait_cost.py), so a lossy endpoint
-# yields to its peer before it arms one (``LockstepEndpoint.ready``).
-RTO_MARGIN = 0.0001
+# round trip.  G covers the jitter that the smoothed rttvar misses: a
+# reply that crosses CPUs, or a peer that waits for a CPU.  On a 2-vCPU
+# VM, over 600 unpinned lossy 1-s sessions (tools/lossy_sessions.py)
+# G = 0.1, 0.2, 0.3 and 0.5 ms resent early 484, 268, 166 and 70 times,
+# and an absolute 0.5 ms floor 133 times; on the 1%-loss case1-linear
+# UDP loop pinned to one CPU (12-s runs) the step p99 read 314-335,
+# 444-450 and 510-524 us for the first three, and 683-739 us with the
+# floor.  0.3 ms keeps about half of 0.1 ms's pinned gain at about the
+# floor's rate of early resends.  A timer due before the 4 ms kernel
+# tick costs a wait about 10 us there (tools/wait_cost.py), so a lossy
+# endpoint yields to its peer before it arms one
+# (``LockstepEndpoint.ready``).
+RTO_MARGIN = 0.0003
 RTT_ALPHA = 1 / 8  # gain of the smoothed round trip (RFC 6298)
 RTT_BETA = 1 / 4  # gain of its mean deviation
 JOIN_TIMEOUT = 10.0  # seconds run_udp_pair waits for the surrogate thread
@@ -290,22 +294,20 @@ class LockstepEndpoint:
         (:meth:`ready`).  The request fails only when no reply has come
         within ``(max_retries + 1) * timeout`` of the first send.  A reply
         to a frame that was never resent is a round-trip sample (Karn's
-        rule), and only a sample undoes the backoff.  The sample and the
-        first wait are timed from before the send: a peer on the same CPU
-        may run its whole step inside ``sendto``."""
+        rule), and only a sample undoes the backoff.  The sample and each
+        wait's deadline are timed from before the send: a peer on the same
+        CPU may run its whole step inside ``sendto``."""
         clock = self.clock
         start = clock()
         self.send(outbound)
         budget = (self.max_retries + 1) * self.timeout
         deadline = start + budget
         wait = self.timer.rto if self.lossy else self.timeout
-        # the first wait is exactly the estimate, which
-        # ``start + wait - start`` need not be
-        remaining = min(wait, budget)
-        expiry = start + remaining
+        expiry = start + min(wait, budget)
         resends = 0
         while True:
-            frame = self.recv(remaining)
+            # a wait of zero would not look at the socket
+            frame = self.recv(max(expiry - clock(), 1e-6))
             if frame is None:
                 if expiry >= deadline:
                     raise SessionError(
@@ -330,8 +332,6 @@ class LockstepEndpoint:
                 if not resends:
                     self.timer.sample(clock() - start)
                 return self._checked(frame)
-            # a wait of zero would not look at the socket
-            remaining = max(expiry - clock(), 1e-6)
 
     def answer(
         self, reply: Optional[Frame], want_type: MsgType, want_seq: int, max_timeouts: int
